@@ -63,19 +63,6 @@ run_step "shm leak check (+ doctor --gc)" python scripts/check_shm_leaks.py
 # kill-at-tile-boundary -> byte-identical resume, on-disk corruption ->
 # detected + rebuilt, compile fault -> numpy-reference degradation.
 run_step "chaos smoke (I/O fault injection)" python scripts/smoke_chaos.py
-# Parallel-build chaos: a 4-worker build has one phase-1 worker killed
-# mid-shard; the parent must re-pool, finish byte-identical to a serial
-# reference, and the worker-death recovery must be visible as counters.
-pbuild_tmp="$(mktemp -d)"
-run_step "parallel build chaos (worker kill + re-pool)" \
-    python scripts/smoke_parallel_build.py \
-        --metrics-out "${pbuild_tmp}/metrics.json"
-run_step "parallel build obs check (worker death counted)" \
-    python scripts/check_obs_output.py --counters-only \
-        "${pbuild_tmp}/metrics.json" \
-        --expect-counter sat.build.worker_deaths:1 \
-        --expect-counter sat.build.parallel_builds:1
-rm -rf "${pbuild_tmp}"
 # Worker-level chaos: sabotage two shared-memory attaches during an
 # instrumented 2-worker run; the run must still complete and the
 # degradations must be visible as obs counters in the metrics export.

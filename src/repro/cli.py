@@ -641,9 +641,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         default=None,
         help=(
-            "kernel backend for hot loops: numpy, cnative, numba, or "
-            "native (numba with cnative fallback); default: $REPRO_BACKEND "
-            "or numpy"
+            "kernel backend for hot loops: numpy or cnative (compiled C "
+            "kernels); default: $REPRO_BACKEND or numpy"
         ),
     )
     parser.add_argument(
@@ -654,18 +653,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "working-memory byte budget for chunked summed-area-table "
             "builds (default: $REPRO_SAT_BUDGET or 256 MiB)"
-        ),
-    )
-    parser.add_argument(
-        "--build-workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "processes for phase 1 of chunked summed-area-table builds "
-            "(1 = serial; output is byte-identical either way; note the "
-            "transient footprint is N x the per-tile working set; "
-            "default: $REPRO_BUILD_WORKERS or 1)"
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -1054,17 +1041,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # Env rather than plumbing: worker-pool initializers re-read it,
         # so the budget survives into spawned processes.
         os.environ[BYTE_BUDGET_ENV] = str(args.sat_budget)
-    if args.build_workers is not None:
-        import os
-
-        from repro.core.sat import BUILD_WORKERS_ENV
-
-        if args.build_workers < 1:
-            print(
-                "error: --build-workers must be >= 1", file=sys.stderr
-            )
-            return 1
-        os.environ[BUILD_WORKERS_ENV] = str(args.build_workers)
     handlers = {
         "schemes": _cmd_schemes,
         "allocate": _cmd_allocate,

@@ -74,8 +74,8 @@ class BackendError(DeclusteringError):
     """A kernel backend is unknown, unavailable, or failed to initialize.
 
     Raised when ``REPRO_BACKEND`` (or ``--backend``) names a backend that
-    is not registered or whose runtime dependency (numba, a C compiler)
-    is missing — selecting a backend must fail loudly, never silently
+    is not registered or whose runtime dependency (a C compiler) is
+    missing — selecting a backend must fail loudly, never silently
     fall back to a different implementation than the one asked for.
     """
 

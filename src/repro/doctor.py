@@ -2,8 +2,8 @@
 
 The artifact layer leaves three kinds of state on a machine: spilled
 summed-area tables (``repro-sat-*.npy`` plus manifest and, after a
-crash, ``.partial``/``.journal.json``/``.carry.npy``/``.shards.json``
-build sidecars — the last one the phase-1 shard log of a parallel
+crash, ``.partial``/``.journal.json``/``.carry.npy`` build sidecars,
+or a ``.shards.json`` shard log from an earlier version's parallel
 build),
 the compiled-kernel cache (``reprokern-*.so`` with digest sidecars, and
 ``.c``/``.tmp`` leftovers from failed compiles), and shared-memory
@@ -61,7 +61,6 @@ from repro.core.sat import (
     build_carry_path,
     build_journal_path,
     build_partial_path,
-    build_shards_path,
 )
 from repro.obs.log import get_logger
 
@@ -79,6 +78,13 @@ _LOG = get_logger("repro.doctor")
 #: Classification ranks for exit-code purposes: anything at or above
 #: ``stale`` makes a plain report exit non-zero.
 _ACTIONABLE = ("corrupt", "stale", "resumable")
+
+#: Chunked-build staging sidecars, as suffixes of the table's path.
+#: ``.shards.json`` is the shard log an interrupted parallel build of an
+#: earlier version left behind; nothing writes it now, but ``--gc``
+#: still collects it.
+_STAGING_SUFFIXES = (".partial", ".journal.json", ".carry.npy",
+                     ".shards.json")
 
 
 @dataclass
@@ -150,24 +156,6 @@ def _journal_is_resumable(npy_path: str) -> bool:
     )
 
 
-def _shards_are_resumable(npy_path: str) -> bool:
-    """Whether a parallel build's phase-1 shard state would resume.
-
-    A build killed during phase 1 leaves a shard log plus the partial
-    but no (valid) carry journal — per-worker state, not corruption: a
-    re-run digest-verifies each committed shard and finishes the build.
-    """
-    from repro.core.integrity import SAT_SHARDS_KIND
-
-    shards = _load_sidecar_json(build_shards_path(npy_path))
-    return (
-        shards is not None
-        and shards.get("kind") == SAT_SHARDS_KIND
-        and bool(shards.get("done"))
-        and os.path.exists(build_partial_path(npy_path))
-    )
-
-
 def scan_sat_artifacts(
     directory: Optional[str] = None, level: Optional[str] = None
 ) -> List[ArtifactIssue]:
@@ -195,13 +183,10 @@ def scan_sat_artifacts(
     ):
         tables.add(sidecar[: -len(".manifest.json")])
     staged = set()
-    for pattern in ("*.npy.partial", "*.npy.journal.json",
-                    "*.npy.carry.npy", "*.npy.shards.json"):
+    for suffix in _STAGING_SUFFIXES:
+        pattern = "*.npy" + suffix
         for leftover in glob.glob(os.path.join(directory, pattern)):
-            for suffix in (".partial", ".journal.json", ".carry.npy",
-                           ".shards.json"):
-                if leftover.endswith(suffix):
-                    staged.add(leftover[: -len(suffix)])
+            staged.add(leftover[: -len(suffix)])
 
     for path in sorted(tables):
         manifest = manifest_path(path)
@@ -254,14 +239,9 @@ def scan_sat_artifacts(
 
     for base in sorted(staged):
         parts = [
-            p
-            for p in (
-                build_partial_path(base),
-                build_journal_path(base),
-                build_carry_path(base),
-                build_shards_path(base),
-            )
-            if os.path.exists(p)
+            base + suffix
+            for suffix in _STAGING_SUFFIXES
+            if os.path.exists(base + suffix)
         ]
         if _journal_is_resumable(base):
             state = "resumable"
@@ -269,19 +249,9 @@ def scan_sat_artifacts(
                 "interrupted chunked build; re-running the build for "
                 f"{os.path.basename(base)} resumes it"
             )
-        elif _shards_are_resumable(base):
-            state = "resumable"
-            detail = (
-                "parallel build interrupted in phase 1; re-running "
-                f"the build for {os.path.basename(base)} verifies the "
-                "committed worker shards and resumes"
-            )
         else:
             state = "stale"
-            detail = (
-                "dead build staging files (no usable journal or "
-                "shard log)"
-            )
+            detail = "dead build staging files (no usable journal)"
         issues.append(
             ArtifactIssue(
                 kind="sat-build",

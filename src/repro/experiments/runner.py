@@ -348,7 +348,7 @@ def _init_worker_broker(
     ``backend`` is the parent's resolved kernel-backend name: it is
     written to ``REPRO_BACKEND`` *and* validated eagerly via
     :func:`repro.core.backends.set_backend`, so a worker that cannot run
-    the requested backend (no compiler, no numba) fails at pool startup
+    the requested backend (no C compiler) fails at pool startup
     instead of silently computing on a different implementation than the
     parent.  ``sat_budget`` propagates the chunked-SAT working-memory
     budget the same way, and ``verify`` the parent's resolved
@@ -375,14 +375,6 @@ def _init_worker_broker(
         from repro.core.integrity import VERIFY_ENV
 
         os.environ[VERIFY_ENV] = verify
-    # Experiment workers never nest a build pool inside the experiment
-    # pool: N experiment workers × M build workers would oversubscribe
-    # every core and multiply the transient tile footprint.  Any chunked
-    # build a worker performs runs serially; parallel builds belong to
-    # the parent (or a dedicated build invocation).
-    from repro.core.sat import BUILD_WORKERS_ENV
-
-    os.environ[BUILD_WORKERS_ENV] = "1"
 
 
 def _terminate_pool(pool: ProcessPoolExecutor) -> None:

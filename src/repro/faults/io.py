@@ -158,9 +158,9 @@ class IoFaultPlan:
         Without a state directory every hit counts as the first, so the
         fault fires forever — documented hard-down behavior.
 
-        The counter may be bumped from several processes at once (a
-        parallel build's workers and its parent all pass the same
-        seam), so the read-modify-write holds an exclusive ``flock`` —
+        The counter may be bumped from several processes at once (an
+        experiment pool's workers and its parent all pass the same
+        seams), so the read-modify-write holds an exclusive ``flock`` —
         otherwise two processes can read the same value, both claim
         hit 1, and a ``TIMES=1`` exit plan kills both instead of the
         one victim the plan named.

@@ -503,7 +503,7 @@ def check_backends(
     """QA423: certify every available kernel backend against numpy.
 
     The numpy backend is the bit-identical reference; for each *other*
-    available backend (``cnative``, ``numba``) and every grid/disk combo
+    available backend (``cnative``) and every grid/disk combo
     in ``config``, a seeded-random allocation is drawn and the backend
     must reproduce the reference **exactly** on:
 
@@ -671,7 +671,6 @@ def _check_mmap_layout(config: ContractConfig) -> List[Finding]:
             num_disks,
             byte_budget=1024,  # forces several tiles even on tiny grids
             path=os.path.join(tmp, "sat.npy"),
-            workers=2,  # phase-1 fan-out must stay byte-identical too
         )
         try:
             allocation = DiskAllocation(

@@ -24,7 +24,8 @@ Life of the server:
 4. **Drain** — SIGTERM/SIGINT stops accepting, lets in-flight requests
    complete (bounded by ``drain_timeout``), stops the fleet, unlinks
    every shared segment through the arena ledger (with the prefix-sweep
-   fallback), and writes the metrics export if configured.
+   fallback) and the unix socket, and writes the metrics export if
+   configured.
 
 Observability: every request increments ``serve.requests``, records a
 ``serve.latency.<type>.seconds`` histogram observation, and (when
@@ -299,7 +300,19 @@ class DeclusterServer:
         self.teardown()
 
     def teardown(self) -> None:
-        """Stop the fleet, unlink shm, export metrics (idempotent)."""
+        """Stop the fleet, unlink shm and the unix socket, export metrics.
+
+        Idempotent.  The kernel never removes a bound unix socket path
+        by itself, so the closed listener's inode is unlinked here.
+        """
+        if self._server is not None:
+            self._server.close()
+            self._server = None
+            if self.config.unix_path is not None:
+                try:
+                    os.unlink(self.config.unix_path)
+                except FileNotFoundError:
+                    pass
         if self._fleet is not None:
             self._fleet.stop()
             self._fleet = None

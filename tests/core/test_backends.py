@@ -6,8 +6,7 @@ always-available reference and every other backend must match it bit for
 bit on all three hot kernels — the batched 2^k-corner gather, the
 sliding-window sweep, and the whole-grid ``disk_array`` tables.  Tests
 for compiled backends parametrize over whatever is available in the
-environment (cnative needs a C compiler, numba the optional extra) and
-skip gracefully otherwise.
+environment (cnative needs a C compiler) and skip gracefully otherwise.
 """
 
 import os
@@ -112,15 +111,15 @@ class TestRegistry:
             assert active_backend_name() == "numpy"
         assert active_backend_name() == before
 
-    def test_native_alias_resolves_or_explains(self):
-        try:
-            backend = get_backend("native")
-        except BackendError as exc:
-            # No compiled backend in this environment: the error must
-            # name every candidate's reason.
-            assert "numba" in str(exc) and "cnative" in str(exc)
-        else:
-            assert backend.name in ("numba", "cnative")
+    def test_registry_holds_exactly_numpy_and_cnative(self):
+        assert [b.name for b in all_backends()] == ["cnative", "numpy"]
+
+    @pytest.mark.parametrize("name", ["native", "numba"])
+    def test_retired_names_are_unknown(self, name):
+        with pytest.raises(BackendError, match="unknown backend") as info:
+            get_backend(name)
+        # The error lists what can be asked for instead.
+        assert "cnative" in str(info.value) and "numpy" in str(info.value)
 
 
 class TestEngineDispatch:
@@ -349,24 +348,6 @@ class TestBackendAwareCache:
             cache.allocation("dm", Grid((4, 4)), 2)
         report = cache.entry_report()
         assert report and report[0]["backend"] == "numpy"
-
-
-class TestNumbaBackendGraceful:
-    def test_numba_entry_exists_with_reason_or_works(self):
-        backend = {b.name: b for b in all_backends()}["numba"]
-        if not backend.available():
-            # get_backend must refuse it with the same reason.
-            with pytest.raises(BackendError, match="unavailable"):
-                get_backend("numba")
-            assert "numba" in backend.unavailable_reason()
-            pytest.skip(backend.unavailable_reason())
-        pytest.importorskip("numba")
-        grid, sat = _sat_for("dm", (6, 6), 3)
-        batch = QueryBatch.from_queries(_mixed_queries(grid), grid)
-        assert np.array_equal(
-            backend.batch_response_times(sat, batch.lo, batch.hi),
-            REFERENCE.batch_response_times(sat, batch.lo, batch.hi),
-        )
 
 
 class TestCNativeCompileCache:

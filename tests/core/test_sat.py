@@ -110,6 +110,30 @@ class TestTileArithmetic:
         grid = Grid((8, 8))
         assert SummedAreaTable.tile_rows(grid, 2, 1 << 30) == 8
 
+    def test_chunked_build_holds_one_tile_at_a_time(self, tmp_path):
+        """Peak traced allocations stay within one tile's working set.
+
+        Keeping the previous tile alive while the next is allocated
+        roughly doubles the peak (measured 1.25x the working set here,
+        against 0.83x when tiles are freed).
+        """
+        import tracemalloc
+
+        grid = Grid((64, 64, 64))
+        budget = 1 << 20
+        rows = SummedAreaTable.tile_rows(grid, 8, budget)
+        tracemalloc.start()
+        try:
+            sat = SummedAreaTable.build_chunked(
+                get_scheme("fx"), grid, 8, byte_budget=budget,
+                path=tmp_path / "sat.npy",
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        sat.close()
+        assert peak <= SummedAreaTable.tile_working_set(grid, 8, rows)
+
 
 @pytest.mark.parametrize(
     "scheme,dims,m",
@@ -269,8 +293,8 @@ class TestQueryBatchIntegration:
             engine.batch_response_times(batch)
 
 
-class TestParallelBuild:
-    """Two-phase parallel builds must be byte-identical to serial."""
+class TestSerialBuild:
+    """The chunked build has a single, serial path; its file is stable."""
 
     def _sha(self, path):
         from repro.core.integrity import file_sha256
@@ -279,71 +303,74 @@ class TestParallelBuild:
 
     @pytest.mark.parametrize("scheme_name", ["dm", "fx"])
     @pytest.mark.parametrize("dims", [(9, 7), (6, 5, 4)])
-    def test_matches_serial_and_in_ram(
-        self, tmp_path, scheme_name, dims
-    ):
+    def test_rebuild_is_byte_identical(self, tmp_path, scheme_name, dims):
         grid = Grid(dims)
         scheme = get_scheme(scheme_name)
-        serial = SummedAreaTable.build_chunked(
-            scheme, grid, 3, byte_budget=600,
-            path=tmp_path / "serial.npy", workers=1,
+        first = SummedAreaTable.build_chunked(
+            scheme, grid, 3, byte_budget=600, path=tmp_path / "a.npy",
         )
-        parallel = SummedAreaTable.build_chunked(
-            scheme, grid, 3, byte_budget=600,
-            path=tmp_path / "parallel.npy", workers=2,
+        second = SummedAreaTable.build_chunked(
+            scheme, grid, 3, byte_budget=600, path=tmp_path / "b.npy",
         )
-        in_ram = SummedAreaTable.build(scheme.allocate(grid, 3))
         try:
-            assert self._sha(serial.path) == self._sha(parallel.path)
-            assert np.array_equal(
-                np.asarray(parallel.array), in_ram.array
-            )
+            assert self._sha(first.path) == self._sha(second.path)
         finally:
-            serial.close()
-            parallel.close()
+            first.close()
+            second.close()
 
-    def test_shards_sidecar_removed_on_success(self, tmp_path):
-        from repro.core.sat import build_shards_path
-
+    def test_no_staging_sidecars_left_on_success(self, tmp_path):
         path = tmp_path / "sat.npy"
         built = SummedAreaTable.build_chunked(
-            get_scheme("dm"), Grid((8, 6)), 2,
-            byte_budget=600, path=path, workers=2,
+            get_scheme("dm"), Grid((8, 6)), 2, byte_budget=600, path=path,
         )
         built.close()
-        assert not os.path.exists(build_shards_path(path))
+        leftovers = sorted(
+            name for name in os.listdir(tmp_path)
+            if name not in ("sat.npy", "sat.npy.manifest.json")
+        )
+        assert leftovers == []
 
-    def test_env_resolution_and_override(self, monkeypatch):
-        from repro.core.sat import BUILD_WORKERS_ENV, build_workers
+    def test_workers_keyword_is_gone(self, tmp_path):
+        with pytest.raises(TypeError, match="workers"):
+            SummedAreaTable.build_chunked(
+                get_scheme("dm"), Grid((4, 4)), 2,
+                byte_budget=200, path=tmp_path / "sat.npy", workers=2,
+            )
+        assert not os.path.exists(tmp_path / "sat.npy")
 
-        monkeypatch.delenv(BUILD_WORKERS_ENV, raising=False)
-        assert build_workers() == 1
-        monkeypatch.setenv(BUILD_WORKERS_ENV, "3")
-        assert build_workers() == 3
-        assert build_workers(2) == 2
+    def test_build_workers_env_is_ignored(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("REPRO_BUILD_WORKERS", raising=False)
+        plain = SummedAreaTable.build_chunked(
+            get_scheme("dm"), Grid((8, 6)), 2,
+            byte_budget=400, path=tmp_path / "plain.npy",
+        )
+        plain.close()
+        monkeypatch.setenv("REPRO_BUILD_WORKERS", "4")
+        with_env = SummedAreaTable.build_chunked(
+            get_scheme("dm"), Grid((8, 6)), 2,
+            byte_budget=400, path=tmp_path / "env.npy",
+        )
+        with_env.close()
+        assert self._sha(plain.path) == self._sha(with_env.path)
 
-    def test_invalid_worker_count_rejected(self):
-        from repro.core.sat import build_workers
-
-        with pytest.raises(AllocationError, match="worker count"):
-            build_workers(0)
-
-    def test_unpicklable_scheme_builds_serially(self, tmp_path):
-        """A scheme that cannot travel to spawn workers still builds."""
+    def test_unpicklable_scheme_builds(self, tmp_path):
+        """Nothing is shipped to another process, so nothing is pickled."""
         scheme = get_scheme("dm")
         scheme._hostage = lambda: None  # closures don't pickle
         try:
             built = SummedAreaTable.build_chunked(
                 scheme, Grid((6, 4)), 2,
-                byte_budget=400, path=tmp_path / "sat.npy", workers=2,
+                byte_budget=400, path=tmp_path / "sat.npy",
             )
-            built.close()
-            reference = SummedAreaTable.build_chunked(
-                get_scheme("dm"), Grid((6, 4)), 2,
-                byte_budget=400, path=tmp_path / "ref.npy",
-            )
-            reference.close()
-            assert self._sha(built.path) == self._sha(reference.path)
+            try:
+                reference = SummedAreaTable.build(
+                    get_scheme("dm").allocate(Grid((6, 4)), 2)
+                )
+                assert np.array_equal(
+                    np.asarray(built.array), reference.array
+                )
+            finally:
+                built.close()
         finally:
             del scheme._hostage
 

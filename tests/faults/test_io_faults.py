@@ -158,8 +158,8 @@ class TestInjectionPoints:
 
 class TestConcurrentHitCounting:
     def test_hits_are_unique_across_threads(self, tmp_path):
-        # A parallel build bumps one counter from several processes at
-        # once; without the flock two bumpers can claim the same hit
+        # Pool workers and their parent bump one counter from several
+        # processes at once; without the flock two bumpers can claim the same hit
         # and a TIMES=1 exit plan kills both.  Threads exercise the
         # same file-level race (each opens its own descriptor).
         import threading

@@ -108,9 +108,8 @@ def test_sigterm_drains_cleanly_and_leaves_no_shm(tmp_path):
             if f"-srv{process.pid}-" in name
         ]
         assert leaked == []
-        assert not os.path.exists(socket_path) or True  # socket file may
-        # remain (unix sockets are unlinked by the OS only on request);
-        # the contract is about shm, not the socket inode.
+        # Nor does the unix socket inode.
+        assert not os.path.exists(socket_path)
     finally:
         if process.poll() is None:
             process.kill()

@@ -5,6 +5,7 @@ thread and the tests speak the real wire protocol through the blocking
 client — nothing is mocked between the socket and the engine.
 """
 
+import os
 import socket
 import struct
 
@@ -255,3 +256,21 @@ class TestDrain:
         with pytest.raises((ConnectionError, OSError, ServeError)):
             with harness.client(timeout=5.0) as client:
                 client.ping()
+
+    def test_drain_unlinks_unix_socket(self, make_harness):
+        harness = make_harness()
+        assert os.path.exists(harness.socket_path)
+        harness.stop()
+        assert not os.path.exists(harness.socket_path)
+
+    def test_teardown_is_idempotent(self, make_harness):
+        harness = make_harness()
+        harness.stop()
+        harness.server.teardown()
+        assert not os.path.exists(harness.socket_path)
+
+    def test_teardown_tolerates_socket_already_gone(self, make_harness):
+        harness = make_harness()
+        os.unlink(harness.socket_path)
+        harness.stop()
+        assert not os.path.exists(harness.socket_path)

@@ -51,6 +51,18 @@ class TestErrorHandling:
         ) == 1
         assert "unknown scheme" in capsys.readouterr().err
 
+    def test_retired_backend_name_reports_cleanly(self, capsys):
+        assert main(["--backend", "native", "schemes"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "unknown backend 'native'" in err
+
+    def test_build_workers_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(["--build-workers=2", "schemes"])
+        assert info.value.code == 2
+        assert "--build-workers" in capsys.readouterr().err
+
 
 class TestSchemesCommand:
     def test_lists_all_schemes(self, capsys):
@@ -286,34 +298,3 @@ class TestTheoryCommand:
         out = capsys.readouterr().out
         assert "DM/CMD" in out and "HCAM" in out
 
-
-class TestBuildWorkersFlag:
-    def test_flag_sets_build_workers_env(self, monkeypatch, capsys):
-        import os
-
-        from repro.core.sat import BUILD_WORKERS_ENV
-
-        monkeypatch.delenv(BUILD_WORKERS_ENV, raising=False)
-        assert main(["--build-workers", "3", "schemes"]) == 0
-        assert os.environ[BUILD_WORKERS_ENV] == "3"
-        monkeypatch.delenv(BUILD_WORKERS_ENV, raising=False)
-
-    def test_default_leaves_env_untouched(self, monkeypatch, capsys):
-        import os
-
-        from repro.core.sat import BUILD_WORKERS_ENV
-
-        monkeypatch.delenv(BUILD_WORKERS_ENV, raising=False)
-        assert main(["schemes"]) == 0
-        assert BUILD_WORKERS_ENV not in os.environ
-
-    def test_invalid_count_is_a_clean_error(self, monkeypatch, capsys):
-        import os
-
-        from repro.core.sat import BUILD_WORKERS_ENV
-
-        monkeypatch.delenv(BUILD_WORKERS_ENV, raising=False)
-        assert main(["--build-workers", "0", "schemes"]) == 1
-        err = capsys.readouterr().err
-        assert "--build-workers" in err
-        assert BUILD_WORKERS_ENV not in os.environ
