@@ -37,7 +37,6 @@ from repro.faults.degraded import (
     batch_degraded_response_times,
     batch_query_availability,
     degraded_optimal_response_time,
-    replicated_query_is_available,
 )
 from repro.faults.models import FaultInjector, FaultScenario
 from repro.replication.allocation import chained_replication
@@ -164,10 +163,8 @@ def run(
                     replicated, query, method=method, scenario=scenario
                 )
                 total_rt += plan.completion_time
-                if replicated_query_is_available(
-                    replicated, query, scenario
-                ):
-                    answered += 1
+                # Complete exactly when no bucket lost both copies.
+                answered += plan.is_complete
         rt_series[REPLICATED_SERIES].append(total_rt / evaluations)
         avail_series[REPLICATED_SERIES].append(answered / evaluations)
 

@@ -30,6 +30,7 @@ Splitting policy (classic grid file):
 
 from __future__ import annotations
 
+import bisect
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -139,11 +140,8 @@ class DynamicGridFile:
         """Bucket coordinates for a record's attribute values."""
         record = self._check_record(record)
         coords = []
-        for axis, value in enumerate(record):
-            boundaries = self._boundaries[axis]
-            index = (
-                int(np.searchsorted(boundaries, value, side="right")) - 1
-            )
+        for boundaries, value in zip(self._boundaries, record.tolist()):
+            index = bisect.bisect_right(boundaries, value) - 1
             coords.append(min(index, len(boundaries) - 2))
         return tuple(coords)
 
@@ -294,17 +292,10 @@ class DynamicGridFile:
         )
 
     @staticmethod
-    def _coords_under(
-        boundaries: List[List[float]], values: Sequence[float]
-    ) -> Tuple[int, ...]:
-        coords = []
-        for axis, value in enumerate(values):
-            axis_bounds = boundaries[axis]
-            index = (
-                int(np.searchsorted(axis_bounds, value, side="right")) - 1
-            )
-            coords.append(min(max(index, 0), len(axis_bounds) - 2))
-        return tuple(coords)
+    def _cells_under(axis_bounds: List[float], values) -> np.ndarray:
+        """Cell index of each value on one axis, clamped into the grid."""
+        index = np.searchsorted(axis_bounds, values, side="right") - 1
+        return np.clip(index, 0, len(axis_bounds) - 2)
 
     def _reallocate(self, previous):
         allocation = get_scheme(self._scheme_name).allocate(
@@ -312,28 +303,40 @@ class DynamicGridFile:
         )
         if previous is not None:
             old_boundaries, old_allocation = previous
+            old_table = old_allocation.table
             # Bucket-level migration: every *new* bucket's centre, old
-            # disk vs new disk.
-            migrated_buckets = 0
-            for coords in self.grid.iter_buckets():
-                centre = tuple(
-                    (self._boundaries[a][c]
-                     + self._boundaries[a][c + 1]) / 2
-                    for a, c in enumerate(coords)
+            # disk vs new disk.  Centres are separable per axis, so the
+            # old disks are one gather over per-axis old cells.
+            old_cells = []
+            for axis_bounds, old_bounds in zip(
+                self._boundaries, old_boundaries
+            ):
+                edges = np.asarray(axis_bounds)
+                centres = (edges[:-1] + edges[1:]) / 2
+                old_cells.append(self._cells_under(old_bounds, centres))
+            self._buckets_migrated += int(
+                np.count_nonzero(
+                    allocation.table != old_table[np.ix_(*old_cells)]
                 )
-                old_disk = old_allocation.disk_of(
-                    self._coords_under(old_boundaries, centre)
-                )
-                if allocation.disk_of(coords) != old_disk:
-                    migrated_buckets += 1
-            self._buckets_migrated += migrated_buckets
+            )
             # Record-level migration: exact old-vs-new disk per record.
-            for coords, bucket in self._records.items():
-                new_disk = allocation.disk_of(coords)
-                for record in bucket:
-                    old_disk = old_allocation.disk_of(
-                        self._coords_under(old_boundaries, record)
+            if self._records:
+                coords = np.repeat(
+                    np.array(list(self._records), dtype=np.int64),
+                    [len(bucket) for bucket in self._records.values()],
+                    axis=0,
+                )
+                values = np.vstack(
+                    [r for bucket in self._records.values() for r in bucket]
+                )
+                old_disks = old_table[
+                    tuple(
+                        self._cells_under(old_bounds, values[:, axis])
+                        for axis, old_bounds in enumerate(old_boundaries)
                     )
-                    if old_disk != new_disk:
-                        self._records_migrated += 1
+                ]
+                new_disks = allocation.table[tuple(coords.T)]
+                self._records_migrated += int(
+                    np.count_nonzero(old_disks != new_disks)
+                )
         return allocation

@@ -2,8 +2,10 @@
 
 The extension the paper scopes out ("we do not consider techniques where a
 data subspace can be assigned to more than one disk"), built: chained and
-orthogonal replication plus an exact max-flow planner that picks a replica
-per bucket to minimize the busiest disk.
+orthogonal replication plus an exact planner that picks a replica per
+bucket to minimize the busiest disk: buckets are grouped by their pair of
+surviving disks and a small in-repo Dinic max-flow over those pair classes
+tests each candidate bound.
 """
 
 from repro.replication.allocation import (

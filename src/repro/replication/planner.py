@@ -4,22 +4,27 @@ With two copies per bucket, answering a query becomes an assignment
 problem: pick one disk from each bucket's pair so the busiest disk reads
 as few buckets as possible.  Two planners are provided:
 
-* :func:`plan_query` with ``method="flow"`` — **exact**: binary-search the
-  answer ``T`` and test feasibility as a bipartite degree-constrained
-  assignment via max-flow (source -> buckets (cap 1) -> their two disks ->
-  sink (cap T)).  Polynomial and fast at this problem size.
-* ``method="greedy"`` — assign buckets in decreasing scarcity order to the
-  currently less-loaded of their two disks.  Near-optimal in practice and
-  what a real executor would run.
+* :func:`plan_query` with ``method="flow"`` — **exact**.  Feasibility of
+  a busiest-disk bound depends only on how many buckets share each set of
+  surviving copies, so the buckets are grouped into *pair classes* (at
+  most ``M(M+1)/2`` of them, read with one slice of each copy's table).
+  The planner binary-searches the answer ``T`` and tests it with a small
+  Dinic max-flow: source -> class (cap = its bucket count) -> its disks ->
+  sink (cap = the disk's capacity under ``T``).  The per-class flow is
+  then dealt out to the class's buckets in row-major order.
+* ``method="greedy"`` — assign buckets in row-major order to whichever
+  surviving copy finishes sooner (ties prefer the primary).  Near-optimal
+  in practice and what a real executor would run.
 
 Both planners also run in **degraded mode**: pass a
 :class:`~repro.faults.models.FaultScenario` and the planner only considers
 surviving replicas (a bucket with both copies on failed disks is recorded
 as *lost*), while straggler factors turn the objective into the weighted
-completion time ``max_d load_d * factor_d``.  The flow path stays exact by
-binary-searching over the discrete set of achievable completion times and
-translating each candidate ``T`` into per-disk capacities
-``floor(T / factor_d)``.
+completion time ``max_d load_d * factor_d``.  A healthy plan is the same
+computation with unit factors and no failed disks.  The flow path stays
+exact by binary-searching over the discrete set of achievable completion
+times ``load * factor_d`` and translating each candidate ``T`` into
+per-disk capacities ``floor(T / factor_d)``.
 
 The headline facts the tests pin down: with a sensible replica layout the
 *planned* response time of the small queries that plague DM collapses to
@@ -32,11 +37,10 @@ surviving copies).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.cost import optimal_response_time
 from repro.core.exceptions import QueryError
 from repro.core.query import RangeQuery
 from repro.faults.models import FaultScenario
@@ -52,6 +56,10 @@ __all__ = [
 ]
 
 Coords = Tuple[int, ...]
+
+#: Slack in ``floor(T / factor + _EPS)``: a load whose weighted time is a
+#: candidate ``T`` must fit under that ``T`` despite division rounding.
+_EPS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -103,9 +111,10 @@ class QueryPlan:
         return not self.lost
 
 
-def _query_buckets(
+def _bucket_pairs(
     replicated: ReplicatedAllocation, query: RangeQuery
-) -> List[Coords]:
+) -> Tuple[List[Coords], np.ndarray, np.ndarray]:
+    """The query's buckets (row-major) and their primary/backup disks."""
     grid = replicated.grid
     if query.ndim != grid.ndim:
         raise QueryError(
@@ -113,208 +122,215 @@ def _query_buckets(
         )
     clipped = query.clip_to(grid)
     if clipped is None:
-        return []
-    return list(clipped.iter_buckets())
+        empty = np.zeros(0, dtype=np.int64)
+        return [], empty, empty
+    window = clipped.slices()
+    return (
+        list(clipped.iter_buckets()),
+        replicated.primary.table[window].ravel().astype(np.int64),
+        replicated.backup.table[window].ravel().astype(np.int64),
+    )
 
 
-def _greedy_assignment(
-    replicated: ReplicatedAllocation, buckets: List[Coords]
-) -> Dict[Coords, int]:
-    loads = np.zeros(replicated.num_disks, dtype=np.int64)
-    assignment: Dict[Coords, int] = {}
-    for coords in buckets:
-        primary, backup = replicated.disks_of(coords)
-        if loads[primary] <= loads[backup]:
-            choice = primary
-        else:
-            choice = backup
-        assignment[coords] = choice
-        loads[choice] += 1
-    return assignment
+def _greedy(
+    first: np.ndarray, second: np.ndarray, factors: np.ndarray
+) -> np.ndarray:
+    """Row-major greedy on weighted finish times; ties keep ``first``."""
+    loads = [0] * factors.size
+    weights = factors.tolist()
+    disks = []
+    for a, b in zip(first.tolist(), second.tolist()):
+        if (loads[b] + 1) * weights[b] < (loads[a] + 1) * weights[a]:
+            a = b
+        loads[a] += 1
+        disks.append(a)
+    return np.array(disks, dtype=np.int64)
 
 
-def _flow_feasible(
-    choices: Sequence[Tuple[int, ...]],
-    num_disks: int,
-    capacities: Sequence[int],
-) -> Dict[int, int]:
-    """Assignment with per-disk load <= capacities[d], or {} if infeasible.
+class _Dinic:
+    """Dinic's max-flow on a small graph held in flat edge lists."""
 
-    Max-flow on: source -> bucket_i (cap 1) -> its surviving disks (cap 1)
-    -> sink (cap capacities[d]).  Feasible iff the max flow saturates all
-    buckets.
+    def __init__(self, num_nodes: int):
+        self.num_nodes = num_nodes
+        self.edges_of: List[List[int]] = [[] for _ in range(num_nodes)]
+        self.head: List[int] = []
+        self.cap: List[int] = []
+
+    def add_edge(self, tail: int, head: int, capacity: int) -> int:
+        """Add ``tail -> head``; returns the edge id (its residual is id^1)."""
+        edge = len(self.head)
+        self.head += [head, tail]
+        self.cap += [capacity, 0]
+        self.edges_of[tail].append(edge)
+        self.edges_of[head].append(edge + 1)
+        return edge
+
+    def max_flow(self, source: int, sink: int) -> int:
+        """Saturate ``source -> sink``; returns the flow value."""
+        total = 0
+        while True:
+            level = [-1] * self.num_nodes
+            level[source] = 0
+            frontier = [source]
+            for node in frontier:
+                for edge in self.edges_of[node]:
+                    target = self.head[edge]
+                    if self.cap[edge] > 0 and level[target] < 0:
+                        level[target] = level[node] + 1
+                        frontier.append(target)
+            if level[sink] < 0:
+                return total
+            cursor = [0] * self.num_nodes
+            while True:
+                pushed = self._augment(source, sink, level, cursor)
+                if not pushed:
+                    break
+                total += pushed
+
+    def _augment(
+        self, source: int, sink: int, level: List[int], cursor: List[int]
+    ) -> int:
+        """Push flow along one shortest augmenting path; 0 if none is left.
+
+        Iterative depth-first search over the level graph; ``cursor``
+        keeps each node's next untried edge across calls, so dead ends
+        are never explored twice in one phase.
+        """
+        path: List[int] = []
+        node = source
+        while node != sink:
+            edges = self.edges_of[node]
+            while cursor[node] < len(edges):
+                edge = edges[cursor[node]]
+                if (
+                    self.cap[edge] > 0
+                    and level[self.head[edge]] == level[node] + 1
+                ):
+                    break
+                cursor[node] += 1
+            else:
+                if not path:
+                    return 0
+                edge = path.pop()
+                node = self.head[edge ^ 1]  # retreat to the edge's tail
+                cursor[node] += 1
+                continue
+            path.append(edge)
+            node = self.head[edge]
+        pushed = min(self.cap[edge] for edge in path)
+        for edge in path:
+            self.cap[edge] -= pushed
+            self.cap[edge ^ 1] += pushed
+        return pushed
+
+
+def _class_flow(
+    low: np.ndarray,
+    high: np.ndarray,
+    counts: np.ndarray,
+    disks: List[int],
+    capacities: np.ndarray,
+) -> Optional[np.ndarray]:
+    """Buckets each class sends to its ``low`` disk, or None if infeasible.
+
+    Class ``k`` holds ``counts[k]`` buckets readable from disks
+    ``low[k]`` and ``high[k]`` (equal for single-copy classes); ``disks``
+    lists every disk a class reads, and disk ``d`` may read at most
+    ``capacities[d]`` buckets.
     """
-    import networkx as nx
-
-    graph = nx.DiGraph()
-    source, sink = "s", "t"
-    for i, disks in enumerate(choices):
-        bucket = ("b", i)
-        graph.add_edge(source, bucket, capacity=1)
-        for disk in disks:
-            graph.add_edge(bucket, ("d", disk), capacity=1)
-    for disk in range(num_disks):
-        node = ("d", disk)
-        if graph.has_node(node):
-            graph.add_edge(node, sink, capacity=int(capacities[disk]))
-    value, flow = nx.maximum_flow(graph, source, sink)
-    if value < len(choices):
-        return {}
-    assignment = {}
-    for i in range(len(choices)):
-        bucket = ("b", i)
-        for target, units in flow[bucket].items():
-            if units > 0:
-                assignment[i] = target[1]
-                break
-    return assignment
-
-
-def _plan_healthy(
-    replicated: ReplicatedAllocation,
-    buckets: List[Coords],
-    method: str,
-) -> Dict[Coords, int]:
-    """The original healthy-array planner (unweighted busiest disk)."""
-    num_disks = replicated.num_disks
-    if method == "greedy":
-        return _greedy_assignment(replicated, buckets)
-    pairs = [replicated.disks_of(coords) for coords in buckets]
-    choices = [
-        (primary,) if primary == backup else (primary, backup)
-        for primary, backup in pairs
-    ]
-    greedy = _greedy_assignment(replicated, buckets)
-    upper = int(
-        np.bincount(
-            list(greedy.values()), minlength=num_disks
-        ).max()
+    num_classes = counts.size
+    node_of = {disk: num_classes + 1 + i for i, disk in enumerate(disks)}
+    sink = num_classes + 1 + len(disks)
+    network = _Dinic(sink + 1)
+    to_low = []
+    for k, (lo, hi, count) in enumerate(
+        zip(low.tolist(), high.tolist(), counts.tolist())
+    ):
+        network.add_edge(0, k + 1, count)
+        to_low.append(network.add_edge(k + 1, node_of[lo], count))
+        if hi != lo:
+            network.add_edge(k + 1, node_of[hi], count)
+    for disk in disks:
+        network.add_edge(node_of[disk], sink, int(capacities[disk]))
+    if network.max_flow(0, sink) < int(counts.sum()):
+        return None
+    return counts - np.array(
+        [network.cap[edge] for edge in to_low], dtype=np.int64
     )
-    lower = optimal_response_time(len(buckets), num_disks)
-    best: Dict[int, int] = {}
-    while lower < upper:
-        middle = (lower + upper) // 2
-        candidate = _flow_feasible(
-            choices, num_disks, [middle] * num_disks
+
+
+def _flow(
+    first: np.ndarray, second: np.ndarray, factors: np.ndarray
+) -> np.ndarray:
+    """Exact minimum of ``max_d load_d * factor_d`` over the copy choices.
+
+    ``first``/``second`` are each bucket's surviving copies (equal when
+    only one survives).  Binary search over the achievable completion
+    times, each candidate ``T`` tested with a pair-class max-flow at
+    capacities ``floor(T / factor_d)``.
+    """
+    num_disks = factors.size
+    num_buckets = first.size
+    low = np.minimum(first, second)
+    high = np.maximum(first, second)
+    classes, class_of, class_count = np.unique(
+        low * num_disks + high, return_inverse=True, return_counts=True
+    )
+    class_low, class_high = classes // num_disks, classes % num_disks
+
+    # Reading every bucket's first surviving copy is feasible at its own
+    # completion time, which caps the candidates.
+    upper = float(
+        (np.bincount(first, minlength=num_disks) * factors).max()
+    )
+    used = np.unique(np.concatenate([class_low, class_high]))
+    candidates = np.unique(
+        np.multiply.outer(
+            np.arange(1, num_buckets + 1), np.unique(factors[used])
         )
-        if candidate:
-            best = candidate
-            upper = middle
-        else:
+    )
+    candidates = candidates[candidates <= upper + _EPS]
+    # Necessary conditions (total capacity, single-copy classes) drop the
+    # candidates no assignment can meet before any flow runs.
+    capacity = (
+        candidates[:, None] / factors[used][None, :] + _EPS
+    ).astype(np.int64)
+    lone = class_low == class_high
+    single = np.bincount(
+        class_low[lone], weights=class_count[lone], minlength=num_disks
+    )[used]
+    possible = (capacity.sum(axis=1) >= num_buckets) & np.all(
+        capacity >= single, axis=1
+    )
+    candidates = candidates[possible]
+
+    best: Optional[np.ndarray] = None
+    lower, top = 0, candidates.size - 1
+    while lower < top:
+        middle = (lower + top) // 2
+        limit = candidates[middle]
+        flow = _class_flow(
+            class_low,
+            class_high,
+            class_count,
+            used.tolist(),
+            (limit / factors + _EPS).astype(np.int64),
+        )
+        if flow is None:
             lower = middle + 1
-    if best:
-        return {coords: best[i] for i, coords in enumerate(buckets)}
-    return greedy  # greedy already achieved the bound
-
-
-def _surviving_choices(
-    replicated: ReplicatedAllocation,
-    buckets: List[Coords],
-    scenario: FaultScenario,
-) -> Tuple[List[Coords], List[Tuple[int, ...]], List[Coords]]:
-    """Split buckets into (reachable, per-bucket disk choices, lost)."""
-    kept: List[Coords] = []
-    choices: List[Tuple[int, ...]] = []
-    lost: List[Coords] = []
-    for coords in buckets:
-        pair = replicated.disks_of(coords)
-        alive = tuple(
-            dict.fromkeys(
-                d for d in pair if not scenario.is_failed(d)
-            )
-        )
-        if alive:
-            kept.append(coords)
-            choices.append(alive)
         else:
-            lost.append(coords)
-    return kept, choices, lost
-
-
-def _greedy_weighted(
-    kept: List[Coords],
-    choices: List[Tuple[int, ...]],
-    scenario: FaultScenario,
-    num_disks: int,
-) -> Dict[Coords, int]:
-    """Greedy on weighted finish times; ties prefer the primary copy."""
-    loads = np.zeros(num_disks, dtype=np.int64)
-    assignment: Dict[Coords, int] = {}
-    for coords, alive in zip(kept, choices):
-        best = alive[0]
-        best_cost = (loads[best] + 1) * scenario.factor(best)
-        for disk in alive[1:]:
-            cost = (loads[disk] + 1) * scenario.factor(disk)
-            if cost < best_cost:
-                best, best_cost = disk, cost
-        assignment[coords] = best
-        loads[best] += 1
-    return assignment
-
-
-def _completion_of(
-    assignment: Dict[Coords, int],
-    scenario: FaultScenario,
-    num_disks: int,
-) -> float:
-    loads = np.bincount(
-        list(assignment.values()), minlength=num_disks
+            best, top = flow, middle
+    if best is None:
+        return first  # reading first copies already meets the bound
+    # Deal each class's flow out in row-major order: its first
+    # ``best[k]`` buckets read the low disk, the rest the high one.
+    order = np.argsort(class_of, kind="stable")
+    starts = np.cumsum(class_count) - class_count
+    rank = np.empty(num_buckets, dtype=np.int64)
+    rank[order] = np.arange(num_buckets) - np.repeat(starts, class_count)
+    return np.where(
+        rank < best[class_of], class_low[class_of], class_high[class_of]
     )
-    return float((loads * scenario.factors).max()) if loads.size else 0.0
-
-
-def _plan_degraded(
-    replicated: ReplicatedAllocation,
-    buckets: List[Coords],
-    scenario: FaultScenario,
-    method: str,
-) -> Tuple[Dict[Coords, int], Tuple[Coords, ...]]:
-    """Planner that avoids failed disks and minimizes weighted finish time."""
-    num_disks = replicated.num_disks
-    kept, choices, lost = _surviving_choices(
-        replicated, buckets, scenario
-    )
-    if not kept:
-        return {}, tuple(lost)
-    greedy = _greedy_weighted(kept, choices, scenario, num_disks)
-    if method == "greedy":
-        return greedy, tuple(lost)
-
-    greedy_time = _completion_of(greedy, scenario, num_disks)
-    used_disks = sorted({d for alive in choices for d in alive})
-    # Achievable completion times are load * factor products; binary-search
-    # the smallest feasible one, translating T into per-disk capacities.
-    candidates = sorted(
-        {
-            load * scenario.factor(disk)
-            for disk in used_disks
-            for load in range(1, len(kept) + 1)
-            if load * scenario.factor(disk) <= greedy_time + 1e-9
-        }
-    )
-    best_assignment: Dict[int, int] = {}
-    lower, upper = 0, len(candidates) - 1
-    while lower < upper:
-        middle = (lower + upper) // 2
-        time = candidates[middle]
-        capacities = [
-            int(time / scenario.factor(disk) + 1e-9)
-            if not scenario.is_failed(disk)
-            else 0
-            for disk in range(num_disks)
-        ]
-        candidate = _flow_feasible(choices, num_disks, capacities)
-        if candidate:
-            best_assignment = candidate
-            upper = middle
-        else:
-            lower = middle + 1
-    if best_assignment:
-        return (
-            {coords: best_assignment[i] for i, coords in enumerate(kept)},
-            tuple(lost),
-        )
-    return greedy, tuple(lost)  # greedy already achieved the bound
 
 
 def plan_query(
@@ -334,40 +350,44 @@ def plan_query(
         raise QueryError(
             f"unknown planning method {method!r}; use 'flow' or 'greedy'"
         )
-    if scenario is not None and scenario.num_disks != replicated.num_disks:
+    num_disks = replicated.num_disks
+    if scenario is not None and scenario.num_disks != num_disks:
         raise QueryError(
             f"scenario covers {scenario.num_disks} disks but the "
-            f"allocation uses {replicated.num_disks}"
+            f"allocation uses {num_disks}"
         )
-    buckets = _query_buckets(replicated, query)
-    num_disks = replicated.num_disks
+    coords, primary, backup = _bucket_pairs(replicated, query)
     degraded = scenario is not None and not scenario.is_healthy
-    if not buckets:
-        return QueryPlan(
-            query=query,
-            assignment={},
-            loads=np.zeros(num_disks, dtype=np.int64),
-            factors=scenario.factors if degraded else None,
-        )
-
-    lost: Tuple[Coords, ...] = ()
+    failed = np.zeros(num_disks, dtype=bool)
+    factors = np.ones(num_disks, dtype=np.float64)
     if degraded:
         assert scenario is not None
-        assignment, lost = _plan_degraded(
-            replicated, buckets, scenario, method
-        )
-    else:
-        assignment = _plan_healthy(replicated, buckets, method)
+        failed[list(scenario.failed)] = True
+        factors = scenario.factors
 
-    loads = np.zeros(num_disks, dtype=np.int64)
-    for disk in assignment.values():
-        loads[disk] += 1
+    primary_alive = ~failed[primary]
+    backup_alive = ~failed[backup]
+    reachable = primary_alive | backup_alive
+    # Each reachable bucket's surviving copies, primary first (the two
+    # are equal when only one copy survives).
+    first = np.where(primary_alive, primary, backup)[reachable]
+    second = np.where(backup_alive, backup, primary)[reachable]
+    kept: List[Coords] = []
+    lost: List[Coords] = []
+    for bucket, alive in zip(coords, reachable.tolist()):
+        (kept if alive else lost).append(bucket)
+    if not kept:
+        disks = first
+    elif method == "greedy":
+        disks = _greedy(first, second, factors)
+    else:
+        disks = _flow(first, second, factors)
     return QueryPlan(
         query=query,
-        assignment=assignment,
-        loads=loads,
+        assignment=dict(zip(kept, disks.tolist())),
+        loads=np.bincount(disks, minlength=num_disks).astype(np.int64),
         factors=scenario.factors if degraded else None,
-        lost=lost,
+        lost=tuple(lost),
     )
 
 

@@ -7,8 +7,11 @@ see.  A few seconds of runtime buys the guarantee that the committed
 report is reproducible by the committed code.
 """
 
+from pathlib import Path
+
 import pytest
 
+from repro.experiments import exp_growth
 from repro.experiments.runner import render_all, run_all
 
 
@@ -80,3 +83,19 @@ class TestFullScaleSuite:
         # A second full run must reproduce the first bit for bit.
         again = run_all(quick=False)
         assert render_all(again) == render_all(results)
+
+    def test_report_matches_committed_file(self, results):
+        # Composed exactly as scripts/generate_report.py writes it: the
+        # suite's report, a blank line, then the X6 growth table.
+        committed = (
+            Path(__file__).resolve().parents[2]
+            / "benchmarks"
+            / "results_full_report.txt"
+        )
+        text = (
+            render_all(results)
+            + "\n\n"
+            + exp_growth.render(exp_growth.run())
+            + "\n"
+        )
+        assert text.encode("utf-8") == committed.read_bytes()

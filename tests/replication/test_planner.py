@@ -1,8 +1,13 @@
 """Unit tests for the replica-choice query planner."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.allocation import DiskAllocation
 from repro.core.cost import optimal_response_time, response_time
 from repro.core.exceptions import QueryError
 from repro.core.grid import Grid
@@ -18,6 +23,7 @@ from repro.replication import (
     replicated_response_time,
     replication_speedup,
 )
+from repro.replication.allocation import ReplicatedAllocation
 
 
 @pytest.fixture
@@ -334,3 +340,85 @@ class TestDegradedPlanning:
         assert plan.num_buckets == 0
         assert plan.completion_time == 0.0
         assert plan.is_complete
+
+
+#: Straggler factors with short binary expansions: every weighted time
+#: ``load * factor`` is exact, so the optimum is one well-defined float.
+DYADIC_FACTORS = (1.25, 1.5, 2.0, 2.5, 3.0, 4.0)
+
+
+@st.composite
+def replicated_scenarios(draw):
+    """A random two-copy layout, a query inside it and a fault scenario."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    num_disks = draw(st.integers(2, 6))
+    grid = Grid((rows, cols))
+    primary = np.array(
+        draw(st.lists(st.integers(0, num_disks - 1),
+                      min_size=rows * cols, max_size=rows * cols))
+    ).reshape(rows, cols)
+    shift = np.array(
+        draw(st.lists(st.integers(1, num_disks - 1),
+                      min_size=rows * cols, max_size=rows * cols))
+    ).reshape(rows, cols)
+    replicated = ReplicatedAllocation(
+        DiskAllocation(grid, num_disks, primary),
+        DiskAllocation(grid, num_disks, (primary + shift) % num_disks),
+    )
+    low = (draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1)))
+    high = (draw(st.integers(low[0], rows - 1)),
+            draw(st.integers(low[1], cols - 1)))
+    failed = draw(st.sets(st.integers(0, num_disks - 1)))
+    slow = draw(st.lists(
+        st.builds(Slowdown, st.integers(0, num_disks - 1),
+                  st.sampled_from(DYADIC_FACTORS)),
+        max_size=3,
+    ))
+    faults = ([FailStop(sorted(failed))] if failed else []) + slow
+    scenario = FaultScenario(num_disks, faults)
+    return replicated, RangeQuery(low, high), scenario
+
+
+def _brute_force_completion(options, factors):
+    """Smallest ``max_d load_d * factor_d`` over every copy choice."""
+    if not options:
+        return 0.0
+    picks = np.array(list(itertools.product(*options)))
+    loads = np.stack(
+        [(picks == disk).sum(axis=1) for disk in range(factors.size)],
+        axis=1,
+    )
+    return float((loads * factors).max(axis=1).min())
+
+
+class TestFlowAgainstBruteForce:
+    @given(case=replicated_scenarios())
+    @settings(max_examples=150, deadline=None)
+    def test_flow_plan_is_optimal_and_consistent(self, case):
+        replicated, query, scenario = case
+        plan = plan_query(replicated, query, "flow", scenario=scenario)
+        surviving = {}
+        lost = []
+        for coords in query.iter_buckets():
+            alive = tuple(
+                d for d in replicated.disks_of(coords)
+                if not scenario.is_failed(d)
+            )
+            if alive:
+                surviving[coords] = alive
+            else:
+                lost.append(coords)
+        assert plan.lost == tuple(lost)
+        assert set(plan.assignment) == set(surviving)
+        for coords, disk in plan.assignment.items():
+            assert disk in surviving[coords]
+        recounted = np.bincount(
+            list(plan.assignment.values()),
+            minlength=replicated.num_disks,
+        )
+        assert np.array_equal(plan.loads, recounted)
+        assert plan.completion_time == _brute_force_completion(
+            list(surviving.values()), scenario.factors
+        )
+        greedy = plan_query(replicated, query, "greedy", scenario=scenario)
+        assert plan.completion_time <= greedy.completion_time

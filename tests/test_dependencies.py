@@ -9,7 +9,9 @@ the code that imports it on a clean ``pip install``.
 """
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -81,6 +83,46 @@ def test_walker_sees_nested_imports_and_skips_relative(tmp_path):
     ]
 
 
-def test_planner_dependency_is_declared():
-    # repro.replication.planner imports networkx at module scope.
-    assert "networkx" in _declared_dependencies()
+def test_no_module_imports_networkx():
+    # The replica planner runs its own max-flow; the graph library it
+    # used to import is no longer a dependency.
+    offenders = [
+        f"{path.relative_to(ROOT)}:{lineno}"
+        for path in sorted((ROOT / "src" / "repro").rglob("*.py"))
+        for lineno, name in _absolute_imports(path)
+        if name == "networkx"
+    ]
+    assert offenders == []
+    assert "networkx" not in _declared_dependencies()
+
+
+#: Runs ``python -m repro`` with ``networkx`` made unimportable.
+_WITHOUT_NETWORKX = """
+import runpy, sys
+
+class BlockNetworkx:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "networkx":
+            raise ModuleNotFoundError(f"blocked: {name}", name=name)
+        return None
+
+sys.meta_path.insert(0, BlockNetworkx())
+sys.argv[0] = "repro"
+runpy.run_module("repro", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize("experiment", ["X4", "degraded"])
+def test_planner_experiments_run_without_networkx(experiment):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_NETWORKX,
+         "experiment", experiment, "--quick"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "blocked" not in done.stderr
+    assert done.stdout.strip()
