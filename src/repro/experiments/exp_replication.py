@@ -26,7 +26,7 @@ from repro.replication.allocation import (
     chained_replication,
     orthogonal_replication,
 )
-from repro.replication.planner import replicated_response_time
+from repro.replication.planner import plan_batch
 
 __all__ = [
     "DEFAULT_SIDES",
@@ -89,20 +89,12 @@ def run(
             int(hcam_engine.batch_response_times(placements).sum())
             / len(placements)
         )
-        series["dm+chain"].append(
-            sum(
-                replicated_response_time(chained, q, method)
-                for q in placements
-            )
-            / len(placements)
-        )
-        series["dm+hcam"].append(
-            sum(
-                replicated_response_time(orthogonal, q, method)
-                for q in placements
-            )
-            / len(placements)
-        )
+        for name, replicated in (
+            ("dm+chain", chained),
+            ("dm+hcam", orthogonal),
+        ):
+            times = plan_batch(replicated, placements, method).response_times
+            series[name].append(int(times.sum()) / len(placements))
     return ExperimentResult(
         experiment_id="X4",
         title="Replication at query time: single copy vs two copies",

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 import zlib
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
@@ -200,12 +201,18 @@ class MetricsRegistry:
         self._counters: Dict[str, int] = {}
         self._histograms: Dict[str, _Reservoir] = {}
         self._process_payloads: Dict[int, Dict[str, Any]] = {}
+        # Counters are bumped from thread-pool workers (the daemon plans
+        # in executor threads), so the read-modify-write is locked.
+        self._inc_lock = threading.Lock()
 
     # -- local series -------------------------------------------------
 
     def inc(self, name: str, amount: int = 1) -> None:
         """Add ``amount`` to counter ``name`` (created at 0)."""
-        self._counters[name] = self._counters.get(name, 0) + int(amount)
+        with self._inc_lock:
+            self._counters[name] = (
+                self._counters.get(name, 0) + int(amount)
+            )
 
     def set_counter(self, name: str, value: int) -> None:
         """Publish a cumulative value wholesale (e.g. cache stats)."""

@@ -133,6 +133,16 @@ def render_metrics_summary(document: Dict[str, Any]) -> str:
             f"{cache.get('publishes', 0)} publish(es)"
         )
 
+    planner = _counter_block(counters, "replication.plan.")
+    if planner:
+        queries = planner.get("batch_queries", 0)
+        solves = planner.get("solves", 0)
+        ratio = queries / solves if solves else 0.0
+        lines.append(
+            f"  replica planner: {queries} batched query(ies), "
+            f"{solves} solve(s) ({ratio:.1f} queries per solve)"
+        )
+
     shm = _counter_block(counters, "shm.")
     if shm:
         lines.append(

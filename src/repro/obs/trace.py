@@ -79,6 +79,9 @@ class _NullSpan:
     def __exit__(self, *exc_info: object) -> bool:
         return False
 
+    def annotate(self, **attrs: Any) -> None:
+        """Discard ``attrs``: nothing is recorded while disabled."""
+
 
 _NULL_SPAN = _NullSpan()
 
@@ -112,6 +115,10 @@ class _SpanHandle:
         self.wall_start = time.time()
         self._start = time.perf_counter()
         return self
+
+    def annotate(self, **attrs: Any) -> None:
+        """Add ``attrs`` known only once the span's work has run."""
+        self.attrs.update(attrs)
 
     def __exit__(self, exc_type: object, exc: object, tb: object) -> bool:
         duration = time.perf_counter() - self._start

@@ -21,13 +21,16 @@ Construction styles:
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.allocation import DiskAllocation
 from repro.core.exceptions import AllocationError, SchemeError
 from repro.core.grid import Grid
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.core.engine import ResponseTimeEngine
 
 __all__ = [
     "ReplicatedAllocation",
@@ -47,7 +50,7 @@ class ReplicatedAllocation:
         adds neither availability nor choice).
     """
 
-    __slots__ = ("_primary", "_backup")
+    __slots__ = ("_primary", "_backup", "_pairs")
 
     def __init__(self, primary: DiskAllocation, backup: DiskAllocation):
         if primary.grid != backup.grid:
@@ -78,6 +81,9 @@ class ReplicatedAllocation:
             )
         self._primary = primary
         self._backup = backup
+        self._pairs: Optional[
+            Tuple[np.ndarray, np.ndarray, "ResponseTimeEngine"]
+        ] = None
 
     @property
     def grid(self) -> Grid:
@@ -105,6 +111,38 @@ class ReplicatedAllocation:
             self._primary.disk_of(coords),
             self._backup.disk_of(coords),
         )
+
+    def pair_engine(
+        self,
+    ) -> Tuple[np.ndarray, np.ndarray, "ResponseTimeEngine"]:
+        """The ordered ``(primary, backup)`` pairs and an engine over them.
+
+        Returns ``(primary_of, backup_of, engine)``: the ``K`` distinct
+        disk pairs that occur in the grid (``K = M`` for chained layouts,
+        at most ``M**2`` otherwise) and a :class:`ResponseTimeEngine`
+        whose "disk" ``k`` is pair ``k``, so its ``batch_disk_counts``
+        gives every query's per-pair bucket counts in one gather.  Built
+        on first use and kept; a concurrent first use may build it twice,
+        harmlessly, since both builds are equal.
+        """
+        if self._pairs is None:
+            from repro.core.engine import ResponseTimeEngine
+
+            num_disks = self.num_disks
+            code = (
+                self._primary.table.astype(np.int64) * num_disks
+                + self._backup.table
+            )
+            pairs, index = np.unique(code.ravel(), return_inverse=True)
+            engine = ResponseTimeEngine(
+                DiskAllocation(
+                    self.grid, pairs.size, index.reshape(code.shape)
+                )
+            )
+            self._pairs = (
+                pairs // num_disks, pairs % num_disks, engine
+            )
+        return self._pairs
 
     def storage_per_disk(self) -> np.ndarray:
         """Total bucket copies per disk (both replicas counted)."""

@@ -16,6 +16,12 @@ as few buckets as possible.  Two planners are provided:
   surviving copy finishes sooner (ties prefer the primary).  Near-optimal
   in practice and what a real executor would run.
 
+:func:`plan_batch` answers a whole query set with the same solver but
+returns only each query's loads, completion time and lost count.  Those
+depend only on how many of the query's buckets sit on each ordered
+``(primary, backup)`` pair, so one gather on the layout's pair engine
+counts every query and each distinct count vector is solved once.
+
 Both planners also run in **degraded mode**: pass a
 :class:`~repro.faults.models.FaultScenario` and the planner only considers
 surviving replicas (a bucket with both copies on failed disks is recorded
@@ -37,19 +43,23 @@ surviving copies).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.exceptions import QueryError
 from repro.core.query import RangeQuery
 from repro.faults.models import FaultScenario
+from repro.obs.metrics import global_registry
+from repro.obs.trace import trace
 from repro.replication.allocation import ReplicatedAllocation
 
 __all__ = [
+    "BatchPlan",
     "Coords",
     "QueryPlan",
     "degraded_replicated_response_time",
+    "plan_batch",
     "plan_query",
     "replicated_response_time",
     "replication_speedup",
@@ -259,31 +269,30 @@ def _class_flow(
     )
 
 
-def _flow(
-    first: np.ndarray, second: np.ndarray, factors: np.ndarray
-) -> np.ndarray:
-    """Exact minimum of ``max_d load_d * factor_d`` over the copy choices.
+def _class_solve(
+    low: np.ndarray,
+    high: np.ndarray,
+    counts: np.ndarray,
+    first_loads: np.ndarray,
+    factors: np.ndarray,
+) -> Optional[np.ndarray]:
+    """Exact minimum of ``max_d load_d * factor_d`` over pair classes.
 
-    ``first``/``second`` are each bucket's surviving copies (equal when
-    only one survives).  Binary search over the achievable completion
-    times, each candidate ``T`` tested with a pair-class max-flow at
-    capacities ``floor(T / factor_d)``.
+    Class ``k`` holds ``counts[k]`` buckets readable from disks
+    ``low[k]`` and ``high[k]``, classes sorted by ``(low, high)``;
+    ``first_loads`` is the per-disk load of reading every bucket's first
+    surviving copy.  Binary search over the achievable completion times,
+    each candidate ``T`` tested with a pair-class max-flow at capacities
+    ``floor(T / factor_d)``.  Returns the buckets each class sends to its
+    ``low`` disk at the optimal ``T``, or None when reading first copies
+    is already optimal.
     """
     num_disks = factors.size
-    num_buckets = first.size
-    low = np.minimum(first, second)
-    high = np.maximum(first, second)
-    classes, class_of, class_count = np.unique(
-        low * num_disks + high, return_inverse=True, return_counts=True
-    )
-    class_low, class_high = classes // num_disks, classes % num_disks
-
+    num_buckets = int(counts.sum())
     # Reading every bucket's first surviving copy is feasible at its own
     # completion time, which caps the candidates.
-    upper = float(
-        (np.bincount(first, minlength=num_disks) * factors).max()
-    )
-    used = np.unique(np.concatenate([class_low, class_high]))
+    upper = float((first_loads * factors).max())
+    used = np.unique(np.concatenate([low, high]))
     candidates = np.unique(
         np.multiply.outer(
             np.arange(1, num_buckets + 1), np.unique(factors[used])
@@ -295,9 +304,9 @@ def _flow(
     capacity = (
         candidates[:, None] / factors[used][None, :] + _EPS
     ).astype(np.int64)
-    lone = class_low == class_high
+    lone = low == high
     single = np.bincount(
-        class_low[lone], weights=class_count[lone], minlength=num_disks
+        low[lone], weights=counts[lone], minlength=num_disks
     )[used]
     possible = (capacity.sum(axis=1) >= num_buckets) & np.all(
         capacity >= single, axis=1
@@ -306,13 +315,15 @@ def _flow(
 
     best: Optional[np.ndarray] = None
     lower, top = 0, candidates.size - 1
+    # Probe the smallest candidate first: it is usually the optimum, and
+    # the flow found at the optimum is the same Dinic run either way.
+    middle = 0
     while lower < top:
-        middle = (lower + top) // 2
         limit = candidates[middle]
         flow = _class_flow(
-            class_low,
-            class_high,
-            class_count,
+            low,
+            high,
+            counts,
             used.tolist(),
             (limit / factors + _EPS).astype(np.int64),
         )
@@ -320,6 +331,60 @@ def _flow(
             lower = middle + 1
         else:
             best, top = flow, middle
+        middle = (lower + top) // 2
+    return best
+
+
+def _pair_classes(
+    codes: np.ndarray, num_disks: int, weights: Optional[np.ndarray] = None
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(codes, low, high, count)`` of the pair classes present.
+
+    ``codes`` holds each item's class code ``low * M + high`` and
+    ``weights`` its bucket count (1 when omitted); classes come out
+    sorted by code, as :func:`_class_solve` takes them.
+    """
+    by_code = np.bincount(
+        codes, weights=weights, minlength=num_disks * num_disks
+    ).astype(np.int64)
+    present = np.flatnonzero(by_code)
+    return (
+        present,
+        present // num_disks,
+        present % num_disks,
+        by_code[present],
+    )
+
+
+def _class_code(
+    first: np.ndarray, second: np.ndarray, num_disks: int
+) -> np.ndarray:
+    """Class code ``low * M + high`` of each copy pair."""
+    return np.minimum(first, second) * num_disks + np.maximum(first, second)
+
+
+def _flow(
+    first: np.ndarray, second: np.ndarray, factors: np.ndarray
+) -> np.ndarray:
+    """Exact per-bucket copy choice: :func:`_class_solve`, dealt out.
+
+    ``first``/``second`` are each bucket's surviving copies (equal when
+    only one survives).
+    """
+    num_disks = factors.size
+    num_buckets = first.size
+    bucket_code = _class_code(first, second, num_disks)
+    codes, class_low, class_high, class_count = _pair_classes(
+        bucket_code, num_disks
+    )
+    class_of = np.searchsorted(codes, bucket_code)
+    best = _class_solve(
+        class_low,
+        class_high,
+        class_count,
+        np.bincount(first, minlength=num_disks),
+        factors,
+    )
     if best is None:
         return first  # reading first copies already meets the bound
     # Deal each class's flow out in row-major order: its first
@@ -331,6 +396,45 @@ def _flow(
     return np.where(
         rank < best[class_of], class_low[class_of], class_high[class_of]
     )
+
+
+def _fault_state(
+    replicated: ReplicatedAllocation,
+    method: str,
+    scenario: Optional[FaultScenario],
+) -> Tuple[np.ndarray, np.ndarray, bool]:
+    """Validate a planning request; ``(failed mask, factors, degraded)``."""
+    if method not in ("flow", "greedy"):
+        raise QueryError(
+            f"unknown planning method {method!r}; use 'flow' or 'greedy'"
+        )
+    num_disks = replicated.num_disks
+    if scenario is not None and scenario.num_disks != num_disks:
+        raise QueryError(
+            f"scenario covers {scenario.num_disks} disks but the "
+            f"allocation uses {num_disks}"
+        )
+    failed = np.zeros(num_disks, dtype=bool)
+    if scenario is None or scenario.is_healthy:
+        return failed, np.ones(num_disks, dtype=np.float64), False
+    failed[list(scenario.failed)] = True
+    return failed, scenario.factors, True
+
+
+def _surviving_copies(
+    primary: np.ndarray, backup: np.ndarray, failed: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(reachable, first, second)`` for copy pairs under ``failed``.
+
+    ``first``/``second`` are each reachable pair's surviving copies,
+    primary first (the two are equal when only one copy survives).
+    """
+    primary_alive = ~failed[primary]
+    backup_alive = ~failed[backup]
+    reachable = primary_alive | backup_alive
+    first = np.where(primary_alive, primary, backup)[reachable]
+    second = np.where(backup_alive, backup, primary)[reachable]
+    return reachable, first, second
 
 
 def plan_query(
@@ -346,32 +450,9 @@ def plan_query(
     unreachable buckets in :attr:`QueryPlan.lost`) and minimizes the
     weighted completion time under straggler factors.
     """
-    if method not in ("flow", "greedy"):
-        raise QueryError(
-            f"unknown planning method {method!r}; use 'flow' or 'greedy'"
-        )
-    num_disks = replicated.num_disks
-    if scenario is not None and scenario.num_disks != num_disks:
-        raise QueryError(
-            f"scenario covers {scenario.num_disks} disks but the "
-            f"allocation uses {num_disks}"
-        )
+    failed, factors, degraded = _fault_state(replicated, method, scenario)
     coords, primary, backup = _bucket_pairs(replicated, query)
-    degraded = scenario is not None and not scenario.is_healthy
-    failed = np.zeros(num_disks, dtype=bool)
-    factors = np.ones(num_disks, dtype=np.float64)
-    if degraded:
-        assert scenario is not None
-        failed[list(scenario.failed)] = True
-        factors = scenario.factors
-
-    primary_alive = ~failed[primary]
-    backup_alive = ~failed[backup]
-    reachable = primary_alive | backup_alive
-    # Each reachable bucket's surviving copies, primary first (the two
-    # are equal when only one copy survives).
-    first = np.where(primary_alive, primary, backup)[reachable]
-    second = np.where(backup_alive, backup, primary)[reachable]
+    reachable, first, second = _surviving_copies(primary, backup, failed)
     kept: List[Coords] = []
     lost: List[Coords] = []
     for bucket, alive in zip(coords, reachable.tolist()):
@@ -385,10 +466,123 @@ def plan_query(
     return QueryPlan(
         query=query,
         assignment=dict(zip(kept, disks.tolist())),
-        loads=np.bincount(disks, minlength=num_disks).astype(np.int64),
-        factors=scenario.factors if degraded else None,
+        loads=np.bincount(
+            disks, minlength=replicated.num_disks
+        ).astype(np.int64),
+        factors=factors if degraded else None,
         lost=tuple(lost),
     )
+
+
+class BatchPlan(NamedTuple):
+    """Per-query outcome of :func:`plan_batch`, one row per query.
+
+    Row ``n`` equals :func:`plan_query` on query ``n``: ``loads`` its
+    :attr:`QueryPlan.loads`, ``completion_times`` its
+    :attr:`QueryPlan.completion_time` and ``num_lost`` its
+    :attr:`QueryPlan.num_lost`.
+    """
+
+    loads: np.ndarray
+    completion_times: np.ndarray
+    num_lost: np.ndarray
+
+    @property
+    def response_times(self) -> np.ndarray:
+        """Busiest disk's bucket count per query (unweighted), ``(N,)``."""
+        return self.loads.max(axis=1)
+
+
+def _batch_flow_loads(
+    replicated: ReplicatedAllocation,
+    queries: Sequence[RangeQuery],
+    failed: np.ndarray,
+    factors: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, int]:
+    """``(loads, num_lost, solves)`` of the exact planner over a batch.
+
+    The optimal loads depend only on how many of a query's buckets sit on
+    each ordered ``(primary, backup)`` pair: the pair classes, the
+    first-copy bound and the first-copy fallback of :func:`_class_solve`
+    are all functions of those counts.  So one gather on the pair engine
+    counts every query, and each distinct count row is solved once.
+    """
+    num_disks = replicated.num_disks
+    primary, backup, engine = replicated.pair_engine()
+    counts = np.ascontiguousarray(
+        engine.batch_disk_counts(queries), dtype=np.int64
+    )
+    reachable, first, second = _surviving_copies(primary, backup, failed)
+    code = _class_code(first, second, num_disks)
+    num_lost = counts[:, ~reachable].sum(axis=1)
+    # Distinct rows via one 1-d unique over each row's raw bytes.
+    _, distinct, row_of = np.unique(
+        counts.view(np.dtype((np.void, counts.shape[1] * 8))).ravel(),
+        return_index=True,
+        return_inverse=True,
+    )
+    loads = np.zeros((distinct.size, num_disks), dtype=np.int64)
+    solves = 0
+    for row, pair_count in enumerate(counts[distinct][:, reachable]):
+        if not pair_count.any():
+            continue
+        solves += 1
+        first_loads = np.bincount(
+            first, weights=pair_count, minlength=num_disks
+        ).astype(np.int64)
+        _, low, high, count = _pair_classes(code, num_disks, pair_count)
+        best = _class_solve(low, high, count, first_loads, factors)
+        if best is None:
+            loads[row] = first_loads
+        else:
+            np.add.at(loads[row], low, best)
+            np.add.at(loads[row], high, count - best)
+    return loads[row_of.ravel()], num_lost, solves
+
+
+def plan_batch(
+    replicated: ReplicatedAllocation,
+    queries: Sequence[RangeQuery],
+    method: str = "flow",
+    scenario: Optional[FaultScenario] = None,
+) -> BatchPlan:
+    """Per-query loads, completion times and lost counts of a query batch.
+
+    Row ``n`` of the result equals :func:`plan_query` on ``queries[n]``
+    (clipping included).  ``method="flow"`` counts every query's buckets
+    per copy pair with one gather on
+    :meth:`ReplicatedAllocation.pair_engine` and runs the exact solver
+    once per distinct count vector; ``method="greedy"`` depends on
+    row-major bucket order, so it plans query by query.  The pair engine
+    holds one summed-area plane per distinct copy pair (``M`` for
+    chained layouts, up to ``M**2`` for orthogonal ones), so on a large
+    orthogonal layout it can outweigh a few :func:`plan_query` calls.
+    """
+    failed, factors, _ = _fault_state(replicated, method, scenario)
+    num_disks = replicated.num_disks
+    with trace("replication.plan_batch", queries=len(queries)) as span:
+        if method == "greedy":
+            plans = [
+                plan_query(replicated, query, method, scenario)
+                for query in queries
+            ]
+            loads = np.array(
+                [plan.loads for plan in plans], dtype=np.int64
+            ).reshape(len(plans), num_disks)
+            num_lost = np.array(
+                [plan.num_lost for plan in plans], dtype=np.int64
+            )
+            solves = len(plans)
+        else:
+            loads, num_lost, solves = _batch_flow_loads(
+                replicated, queries, failed, factors
+            )
+        span.annotate(solves=solves)
+    registry = global_registry()
+    registry.inc("replication.plan.batch_queries", len(queries))
+    registry.inc("replication.plan.solves", solves)
+    # Unit factors leave healthy loads as they are: float(max) exactly.
+    return BatchPlan(loads, (loads * factors).max(axis=1), num_lost)
 
 
 def replicated_response_time(

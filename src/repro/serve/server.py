@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import asyncio
 import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -162,6 +163,12 @@ class DeclusterServer:
         self._allocations: Dict[
             Tuple[str, Tuple[int, ...], int], Any
         ] = {}
+        # Chained replications of preloaded specs, by (spec key, offset
+        # mod M): at most M entries per spec, built on first request.
+        self._replications: Dict[
+            Tuple[Tuple[str, Tuple[int, ...], int], int], Any
+        ] = {}
+        self._replications_lock = threading.Lock()
         self._arena = None
         self._fleet: Optional[WorkerFleet] = None
         self._executor: Optional[ThreadPoolExecutor] = None
@@ -637,10 +644,9 @@ class DeclusterServer:
 
         def _plan():
             from repro.faults.models import FailStop, FaultScenario
-            from repro.replication.allocation import chained_replication
-            from repro.replication.planner import plan_query
+            from repro.replication.planner import plan_batch
 
-            replicated = chained_replication(allocation, offset=offset)
+            replicated = self._replication(key, allocation, offset)
             scenario = None
             if failed:
                 scenario = FaultScenario(
@@ -651,28 +657,49 @@ class DeclusterServer:
                 method=method,
                 failed=len(failed),
             ):
-                return plan_query(
+                return plan_batch(
                     replicated,
-                    RangeQuery(lower, upper),
+                    [RangeQuery(lower, upper)],
                     method=method,
                     scenario=scenario,
                 )
 
         if self._executor is not None and self._loop is not None:
-            plan = await self._loop.run_in_executor(
+            plans = await self._loop.run_in_executor(
                 self._executor, _plan
             )
         else:
-            plan = _plan()
+            plans = _plan()
+        loads = plans.loads[0]
         return protocol.encode_frame(
             protocol.RESPONSE_OK,
             {
-                "response_time": int(plan.response_time),
-                "completion_time": float(plan.completion_time),
-                "num_lost": int(plan.num_lost),
-                "loads": [int(load) for load in plan.loads],
+                "response_time": int(loads.max()),
+                "completion_time": float(plans.completion_times[0]),
+                "num_lost": int(plans.num_lost[0]),
+                "loads": [int(load) for load in loads],
             },
         )
+
+    def _replication(
+        self,
+        key: Tuple[str, Tuple[int, ...], int],
+        allocation: Any,
+        offset: int,
+    ) -> Any:
+        """The spec's chained replication at ``offset``, built once.
+
+        A rejected offset raises and is never cached.
+        """
+        from repro.replication.allocation import chained_replication
+
+        slot = (key, offset % key[2])
+        with self._replications_lock:
+            replicated = self._replications.get(slot)
+            if replicated is None:
+                replicated = chained_replication(allocation, offset=offset)
+                self._replications[slot] = replicated
+        return replicated
 
     async def _req_stats(
         self, header: Dict[str, Any], body: bytes

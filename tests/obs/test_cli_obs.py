@@ -46,6 +46,32 @@ class TestExperimentInstrumentation:
         assert "engine.sliding_response_times" in names
         assert f"trace: {len(spans)} span(s)" in capsys.readouterr().err
 
+    def test_replica_planner_records_batch_span_and_counters(
+        self, tmp_path
+    ):
+        trace_path = tmp_path / "trace.jsonl"
+        metrics_path = tmp_path / "metrics.json"
+        assert main(
+            ["experiment", "X4", "--quick", "--trace", str(trace_path),
+             "--metrics-out", str(metrics_path)]
+        ) == 0
+        batches = [
+            span for span in load_trace(trace_path)
+            if span["name"] == "replication.plan_batch"
+        ]
+        assert batches
+        for span in batches:
+            assert 0 < span["attrs"]["solves"] <= span["attrs"]["queries"]
+        counters = json.loads(metrics_path.read_text())["aggregate"][
+            "counters"
+        ]
+        assert counters["replication.plan.batch_queries"] == sum(
+            span["attrs"]["queries"] for span in batches
+        )
+        assert counters["replication.plan.solves"] == sum(
+            span["attrs"]["solves"] for span in batches
+        )
+
     def test_metrics_out_writes_registry_document(self, tmp_path):
         metrics_path = tmp_path / "metrics.json"
         assert main(

@@ -1,6 +1,8 @@
 """Tests for the metrics registry (:mod:`repro.obs.metrics`)."""
 
 import os
+import sys
+import threading
 
 import pytest
 
@@ -22,6 +24,29 @@ class TestCounters:
 
     def test_untouched_counter_reads_zero(self):
         assert MetricsRegistry().counter("nope") == 0
+
+    def test_concurrent_inc_loses_no_update(self):
+        registry = MetricsRegistry()
+        threads = [
+            threading.Thread(
+                target=lambda: [
+                    registry.inc("replication.plan.solves")
+                    for _ in range(2000)
+                ]
+            )
+            for _ in range(8)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert registry.counter("replication.plan.solves") == 8 * 2000
 
     def test_set_counter_overwrites(self):
         registry = MetricsRegistry()

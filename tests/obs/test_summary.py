@@ -24,6 +24,8 @@ def _metrics_document():
                 "cache.evictions": 1,
                 "shm.shares": 3,
                 "runner.retries": 2,
+                "replication.plan.batch_queries": 640,
+                "replication.plan.solves": 256,
             },
             "histograms": {
                 "experiment.E1.seconds": {
@@ -71,6 +73,11 @@ class TestMetricsRendering:
         text = render_metrics_summary(_metrics_document())
         assert "shared memory" in text
         assert "3 shares" in text
+
+    def test_replica_planner_dedup_ratio_rendered(self):
+        text = render_metrics_summary(_metrics_document())
+        assert "640 batched query(ies), 256 solve(s)" in text
+        assert "2.5 queries per solve" in text
 
     def test_empty_aggregate_still_renders(self):
         text = render_metrics_summary(

@@ -19,11 +19,13 @@ from repro.replication import (
     chained_replication,
     degraded_replicated_response_time,
     orthogonal_replication,
+    plan_batch,
     plan_query,
     replicated_response_time,
     replication_speedup,
 )
 from repro.replication.allocation import ReplicatedAllocation
+from repro.replication.planner import _class_flow, _EPS
 
 
 @pytest.fixture
@@ -348,8 +350,12 @@ DYADIC_FACTORS = (1.25, 1.5, 2.0, 2.5, 3.0, 4.0)
 
 
 @st.composite
-def replicated_scenarios(draw):
-    """A random two-copy layout, a query inside it and a fault scenario."""
+def replicated_scenarios(draw, whole_grid=False):
+    """A random two-copy layout, a query inside it and a fault scenario.
+
+    ``whole_grid`` makes the query cover the grid, so bound searches run
+    over more buckets.
+    """
     rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     num_disks = draw(st.integers(2, 6))
     grid = Grid((rows, cols))
@@ -368,6 +374,8 @@ def replicated_scenarios(draw):
     low = (draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1)))
     high = (draw(st.integers(low[0], rows - 1)),
             draw(st.integers(low[1], cols - 1)))
+    if whole_grid:
+        low, high = (0, 0), (rows - 1, cols - 1)
     failed = draw(st.sets(st.integers(0, num_disks - 1)))
     slow = draw(st.lists(
         st.builds(Slowdown, st.integers(0, num_disks - 1),
@@ -422,3 +430,153 @@ class TestFlowAgainstBruteForce:
         )
         greedy = plan_query(replicated, query, "greedy", scenario=scenario)
         assert plan.completion_time <= greedy.completion_time
+
+
+@st.composite
+def planning_batches(draw):
+    """A random 2-D or 3-D two-copy layout, a query batch and a scenario.
+
+    Query corners range past the grid, so batches mix inside, clipped
+    and fully outside (zero-bucket) queries.  The scenario is absent,
+    healthy (no fail-stops), or random fail-stops and dyadic slowdowns.
+    """
+    ndim = draw(st.sampled_from((2, 3)))
+    dims = tuple(
+        draw(st.integers(1, 6 if ndim == 2 else 4)) for _ in range(ndim)
+    )
+    num_disks = draw(st.integers(2, 6))
+    size = int(np.prod(dims))
+    primary = np.array(
+        draw(st.lists(st.integers(0, num_disks - 1),
+                      min_size=size, max_size=size))
+    ).reshape(dims)
+    shift = np.array(
+        draw(st.lists(st.integers(1, num_disks - 1),
+                      min_size=size, max_size=size))
+    ).reshape(dims)
+    grid = Grid(dims)
+    replicated = ReplicatedAllocation(
+        DiskAllocation(grid, num_disks, primary),
+        DiskAllocation(grid, num_disks, (primary + shift) % num_disks),
+    )
+    corner = st.tuples(*(st.integers(0, d + 2) for d in dims))
+    extent = st.tuples(*(st.integers(0, d + 2) for d in dims))
+    queries = [
+        RangeQuery(low, tuple(lo + ext for lo, ext in zip(low, span)))
+        for low, span in draw(
+            st.lists(st.tuples(corner, extent), min_size=0, max_size=8)
+        )
+    ]
+    kind = draw(st.sampled_from(("none", "healthy", "faulty")))
+    if kind == "none":
+        return replicated, queries, None
+    if kind == "healthy":
+        return replicated, queries, FaultScenario(num_disks)
+    failed = draw(st.sets(st.integers(0, num_disks - 1)))
+    slow = draw(st.lists(
+        st.builds(Slowdown, st.integers(0, num_disks - 1),
+                  st.sampled_from(DYADIC_FACTORS)),
+        max_size=3,
+    ))
+    faults = ([FailStop(sorted(failed))] if failed else []) + slow
+    return replicated, queries, FaultScenario(num_disks, faults)
+
+
+class TestPlanBatch:
+    @pytest.mark.parametrize("method", ["flow", "greedy"])
+    @given(case=planning_batches())
+    @settings(max_examples=120, deadline=None)
+    def test_rows_equal_plan_query(self, method, case):
+        replicated, queries, scenario = case
+        batch = plan_batch(replicated, queries, method, scenario=scenario)
+        assert batch.loads.shape == (len(queries), replicated.num_disks)
+        for row, query in enumerate(queries):
+            plan = plan_query(replicated, query, method, scenario=scenario)
+            assert np.array_equal(batch.loads[row], plan.loads)
+            assert batch.response_times[row] == plan.response_time
+            assert batch.completion_times[row] == plan.completion_time
+            assert batch.num_lost[row] == plan.num_lost
+
+    def test_same_validation_as_plan_query(self, chained_dm):
+        with pytest.raises(QueryError):
+            plan_batch(chained_dm, [query_at((0, 0), (2, 2))], "magic")
+        with pytest.raises(QueryError):
+            plan_batch(
+                chained_dm, [query_at((0, 0), (2, 2))],
+                scenario=FaultScenario(4),
+            )
+        with pytest.raises(QueryError):
+            plan_batch(chained_dm, [RangeQuery((0,), (2,))])
+
+    def test_pair_engine_is_built_once(self, chained_dm):
+        assert chained_dm.pair_engine() is chained_dm.pair_engine()
+        primary_of, backup_of, engine = chained_dm.pair_engine()
+        # Chained copies: one pair per primary disk.
+        assert engine.num_disks == chained_dm.num_disks
+        assert np.array_equal(
+            backup_of, (primary_of + 1) % chained_dm.num_disks
+        )
+
+
+def _dealt_flow_assignment(first, second, factors, limit):
+    """Row-major deal of :func:`_class_flow` at bound ``limit``."""
+    low, high = np.minimum(first, second), np.maximum(first, second)
+    classes = sorted(set(zip(low.tolist(), high.tolist())))
+    class_low = np.array([c[0] for c in classes], dtype=np.int64)
+    class_high = np.array([c[1] for c in classes], dtype=np.int64)
+    count = np.array(
+        [sum(1 for pair in zip(low.tolist(), high.tolist()) if pair == c)
+         for c in classes],
+        dtype=np.int64,
+    )
+    used = sorted(set(class_low.tolist()) | set(class_high.tolist()))
+    flow = _class_flow(
+        class_low, class_high, count, used,
+        (limit / factors + _EPS).astype(np.int64),
+    )
+    assert flow is not None
+    dealt = dict.fromkeys(classes, 0)
+    disks = []
+    for pair in zip(low.tolist(), high.tolist()):
+        k = classes.index(pair)
+        disks.append(pair[0] if dealt[pair] < flow[k] else pair[1])
+        dealt[pair] += 1
+    return disks
+
+
+class TestAssignmentPinnedToOptimalFlow:
+    @given(case=replicated_scenarios(whole_grid=True))
+    @settings(max_examples=300, deadline=None)
+    def test_assignment_is_dealt_flow_at_the_optimum(self, case):
+        # Whatever order the bound search probes candidates in, the
+        # assignment is the flow found at the brute-force optimal bound
+        # (or the first copies, when they are already optimal).
+        replicated, query, scenario = case
+        plan = plan_query(replicated, query, "flow", scenario=scenario)
+        first, second = [], []
+        for coords in query.iter_buckets():
+            primary, backup = replicated.disks_of(coords)
+            alive = [d for d in (primary, backup)
+                     if not scenario.is_failed(d)]
+            if alive:
+                first.append(alive[0])
+                second.append(alive[-1])
+        if not first:
+            assert plan.assignment == {}
+            return
+        first = np.array(first, dtype=np.int64)
+        second = np.array(second, dtype=np.int64)
+        factors = scenario.factors
+        optimum = _brute_force_completion(
+            [sorted({a, b}) for a, b in zip(first, second)], factors
+        )
+        first_copies = float(
+            (np.bincount(first, minlength=factors.size) * factors).max()
+        )
+        if optimum == first_copies:
+            expected = first.tolist()
+        else:
+            expected = _dealt_flow_assignment(
+                first, second, factors, optimum
+            )
+        assert list(plan.assignment.values()) == expected

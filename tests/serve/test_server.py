@@ -118,6 +118,26 @@ class TestRequests:
         assert served["loads"] == [int(v) for v in local.loads]
         assert served["loads"][3] == 0  # the failed disk serves nothing
 
+    def test_plan_requests_reuse_one_replication(self, serve_harness):
+        server = serve_harness.server
+        with serve_harness.client() as client:
+            client.degraded_plan(
+                SCHEME, DIMS, NUM_DISKS, (0, 0), (3, 3), failed=(2,)
+            )
+            client.degraded_plan(SCHEME, DIMS, NUM_DISKS, (4, 4), (9, 9))
+            # Offsets equal mod M name the same layout.
+            client.degraded_plan(
+                SCHEME, DIMS, NUM_DISKS, (1, 1), (2, 2),
+                offset=1 + NUM_DISKS,
+            )
+            with pytest.raises(ServeError, match="SchemeError"):
+                client.degraded_plan(
+                    SCHEME, DIMS, NUM_DISKS, (0, 0), (1, 1),
+                    offset=NUM_DISKS,
+                )
+        key = (SCHEME, DIMS, NUM_DISKS)
+        assert list(server._replications) == [(key, 1)]
+
     def test_stats_reports_counters_and_specs(self, serve_harness):
         with serve_harness.client() as client:
             client.ping()

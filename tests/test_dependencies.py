@@ -5,10 +5,13 @@ top-level name of every absolute import, wherever it sits: module
 scope, a function body, or a ``try`` block.  Each name must be a
 standard-library module, ``repro`` itself, or a distribution listed in
 ``[project].dependencies`` of ``pyproject.toml``; anything else breaks
-the code that imports it on a clean ``pip install``.
+the code that imports it on a clean ``pip install``.  The experiments
+are also run in a subprocess whose import system refuses every other
+top-level module, which catches imports the walker cannot see.
 """
 
 import ast
+import json
 import os
 import re
 import subprocess
@@ -96,32 +99,52 @@ def test_no_module_imports_networkx():
     assert "networkx" not in _declared_dependencies()
 
 
-#: Runs ``python -m repro`` with ``networkx`` made unimportable.
-_WITHOUT_NETWORKX = """
-import runpy, sys
+#: Runs ``python -m MODULE ARGS...`` with every top-level module outside
+#: the JSON list in ``argv[1]`` made unimportable.
+_ONLY_ALLOWED = """
+import json, runpy, sys
 
-class BlockNetworkx:
+allowed = frozenset(json.loads(sys.argv.pop(1)))
+module = sys.argv.pop(1)
+
+class BlockUndeclared:
     def find_spec(self, name, path=None, target=None):
-        if name.split(".")[0] == "networkx":
+        if name.split(".")[0] not in allowed:
             raise ModuleNotFoundError(f"blocked: {name}", name=name)
         return None
 
-sys.meta_path.insert(0, BlockNetworkx())
-sys.argv[0] = "repro"
-runpy.run_module("repro", run_name="__main__", alter_sys=True)
+sys.meta_path.insert(0, BlockUndeclared())
+sys.argv[0] = module
+runpy.run_module(module, run_name="__main__", alter_sys=True)
 """
 
 
-@pytest.mark.parametrize("experiment", ["X4", "degraded"])
-def test_planner_experiments_run_without_networkx(experiment):
+def _run_with_only_declared_modules(module, *args):
+    allowed = sorted(
+        set(sys.stdlib_module_names) | {"repro"} | _declared_dependencies()
+    )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
-    done = subprocess.run(
-        [sys.executable, "-c", _WITHOUT_NETWORKX,
-         "experiment", experiment, "--quick"],
+    return subprocess.run(
+        [sys.executable, "-c", _ONLY_ALLOWED, json.dumps(allowed), module,
+         *args],
         env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_blocker_refuses_an_installed_undeclared_module():
+    # pytest is installed (it runs this test) but is not a dependency.
+    done = _run_with_only_declared_modules("pytest", "--version")
+    assert done.returncode != 0
+    assert "blocked: pytest" in done.stderr
+
+
+@pytest.mark.parametrize("experiment", ["X4", "degraded", "all"])
+def test_experiments_run_with_only_declared_modules(experiment):
+    done = _run_with_only_declared_modules(
+        "repro", "experiment", experiment, "--quick"
     )
     assert done.returncode == 0, done.stderr
     assert "blocked" not in done.stderr
