@@ -26,6 +26,13 @@ Splitting policy (classic grid file):
   would duplicate a boundary);
 * the split applies to the whole grid slab, keeping the directory a
   cartesian product, exactly like the original grid file.
+
+Storage is array-backed: the records are one growing ``(n, k)`` value
+array with a parallel ``(n, k)`` bucket-coordinate array, in insertion
+order, plus a grid-shaped occupancy count.  A split updates one
+coordinate column and recounts the occupancy; nothing in the split
+policy or the migration counters depends on the order of records inside
+a bucket.
 """
 
 from __future__ import annotations
@@ -41,6 +48,8 @@ from repro.core.query import RangeQuery
 from repro.core.registry import get_scheme
 from repro.gridfile.file import QueryExecution
 from repro.gridfile.partitioner import RangePartitioner
+from repro.obs.metrics import global_registry
+from repro.obs.trace import trace
 
 __all__ = ["DynamicGridFile"]
 
@@ -58,6 +67,13 @@ class DynamicGridFile:
         Registry name of the declustering method re-applied after splits.
     bucket_capacity:
         Records a bucket holds before triggering a split.
+
+    Records live in two arrays that grow by doubling: their values
+    ``(n, k)`` float64 and their bucket coordinates ``(n, k)`` int64,
+    row ``i`` being the ``i``-th record inserted.  A grid-shaped int64
+    occupancy array counts records per bucket.  There are no per-bucket
+    record lists: a split finds the overflowing bucket's records with a
+    mask and re-buckets the whole file with one column update.
     """
 
     def __init__(
@@ -83,7 +99,10 @@ class DynamicGridFile:
         self._num_disks = int(num_disks)
         self._scheme_name = scheme
         self._capacity = int(bucket_capacity)
-        self._records: Dict[Tuple[int, ...], List[np.ndarray]] = {}
+        ndim = len(self._domains)
+        self._values = np.empty((0, ndim), dtype=np.float64)
+        self._coords = np.empty((0, ndim), dtype=np.int64)
+        self._occupancy = np.zeros((1,) * ndim, dtype=np.int64)
         self._num_records = 0
         self._num_splits = 0
         self._buckets_migrated = 0
@@ -138,42 +157,52 @@ class DynamicGridFile:
 
     def bucket_of(self, record: Sequence[float]) -> Tuple[int, ...]:
         """Bucket coordinates for a record's attribute values."""
-        record = self._check_record(record)
-        coords = []
-        for boundaries, value in zip(self._boundaries, record.tolist()):
-            index = bisect.bisect_right(boundaries, value) - 1
-            coords.append(min(index, len(boundaries) - 2))
-        return tuple(coords)
+        return self._locate(self._check_record(record).tolist())
 
     def insert(self, record: Sequence[float]) -> Tuple[int, ...]:
         """Insert a record, splitting as needed; returns its bucket."""
         record = self._check_record(record)
-        coords = self.bucket_of(record)
-        self._records.setdefault(coords, []).append(record)
-        self._num_records += 1
-        while len(self._records.get(coords, ())) > self._capacity:
-            if not self._split(coords):
-                break  # unsplittable (duplicate values); allow overflow
-            coords = self.bucket_of(record)
-        return self.bucket_of(record)
+        self._reserve(1)
+        self._values[self._num_records] = record
+        return self._file_next(record.tolist())
 
     def insert_many(self, records) -> None:
-        """Insert records from an iterable / ``(n, k)`` array."""
-        for record in np.asarray(records, dtype=np.float64):
-            self.insert(record)
+        """Insert records from an iterable / ``(n, k)`` array.
+
+        The batch is validated once.  Rows before the first invalid one
+        are inserted, then that row raises the error :meth:`insert`
+        would, so a bad batch leaves the same records stored as inserting
+        its rows one by one.
+        """
+        records = np.asarray(records, dtype=np.float64)
+        ndim = len(self._boundaries)
+        if records.ndim != 2 or records.shape[1] != ndim:
+            if len(records):
+                self._check_record(records[0])  # raises the shape error
+            return
+        lows, highs = np.array(self._domains).T
+        outside = ~((lows <= records) & (records <= highs)).all(axis=1)
+        bad = np.flatnonzero(outside)
+        valid = int(bad[0]) if bad.size else len(records)
+        splits = self._num_splits
+        with trace("gridfile.insert_many", records=valid) as span:
+            self._reserve(valid)
+            start = self._num_records
+            self._values[start : start + valid] = records[:valid]
+            for values in records[:valid].tolist():
+                self._file_next(values)
+            span.annotate(splits=self._num_splits - splits)
+        if bad.size:
+            self._check_record(records[valid])
 
     def bucket_occupancy(self) -> np.ndarray:
         """Records per bucket, shaped like the current grid."""
-        occupancy = np.zeros(self.grid.dims, dtype=np.int64)
-        for coords, bucket in self._records.items():
-            occupancy[coords] = len(bucket)
-        return occupancy
+        return self._occupancy.copy()
 
     def records_per_disk(self) -> np.ndarray:
         """Records per disk under the current allocation."""
         loads = np.zeros(self._num_disks, dtype=np.int64)
-        for coords, bucket in self._records.items():
-            loads[self._allocation.disk_of(coords)] += len(bucket)
+        np.add.at(loads, self._allocation.table, self._occupancy)
         return loads
 
     # -- queries -------------------------------------------------------
@@ -226,6 +255,42 @@ class DynamicGridFile:
                 )
         return record
 
+    def _locate(self, values: List[float]) -> Tuple[int, ...]:
+        """Bucket of in-domain values; the domain's top edge is clamped."""
+        return tuple(
+            min(bisect.bisect_right(boundaries, value) - 1,
+                len(boundaries) - 2)
+            for boundaries, value in zip(self._boundaries, values)
+        )
+
+    def _reserve(self, count: int) -> None:
+        """Grow the record buffers (by doubling) to fit ``count`` more."""
+        needed = self._num_records + count
+        if needed > len(self._values):
+            size = max(needed, 2 * len(self._values), 64)
+            values = np.empty((size, self._values.shape[1]), np.float64)
+            coords = np.empty((size, self._coords.shape[1]), np.int64)
+            values[: self._num_records] = self._values[: self._num_records]
+            coords[: self._num_records] = self._coords[: self._num_records]
+            self._values, self._coords = values, coords
+
+    def _file_next(self, values: List[float]) -> Tuple[int, ...]:
+        """File the record already written at row ``num_records``.
+
+        Locates its bucket, counts it, and splits that bucket while it
+        overflows; returns the record's final bucket.
+        """
+        row = self._num_records
+        coords = self._locate(values)
+        self._coords[row] = coords
+        self._num_records = row + 1
+        self._occupancy[coords] += 1
+        while self._occupancy[coords] > self._capacity:
+            if not self._split(coords):
+                break  # unsplittable (duplicate values); allow overflow
+            coords = tuple(self._coords[row].tolist())
+        return coords
+
     def _choose_split_axis(self, coords: Tuple[int, ...]) -> int:
         relative = []
         for axis, c in enumerate(coords):
@@ -241,10 +306,10 @@ class DynamicGridFile:
         boundaries = self._boundaries[axis]
         cell = coords[axis]
         low, high = boundaries[cell], boundaries[cell + 1]
-        values = np.array(
-            [r[axis] for r in self._records.get(coords, ())]
-        )
-        cut = float(np.median(values)) if values.size else (low + high) / 2
+        values = self._values[: self._num_records]
+        stored = self._coords[: self._num_records]
+        in_bucket = (stored == coords).all(axis=1)
+        cut = float(np.median(values[in_bucket, axis]))
         if not low < cut < high:
             cut = (low + high) / 2.0
         if not low < cut < high:
@@ -252,29 +317,18 @@ class DynamicGridFile:
         previous = self._snapshot_disks()
         boundaries.insert(cell + 1, cut)
         self._num_splits += 1
-        # Re-bucket every record of the split slab.
-        moved: Dict[Tuple[int, ...], List[np.ndarray]] = {}
-        for old_coords in list(self._records):
-            shifted = list(old_coords)
-            if old_coords[axis] > cell:
-                shifted[axis] += 1
-                moved[tuple(shifted)] = self._records.pop(old_coords)
-            elif old_coords[axis] == cell:
-                bucket = self._records.pop(old_coords)
-                lower_half: List[np.ndarray] = []
-                upper_half: List[np.ndarray] = []
-                for record in bucket:
-                    if record[axis] < cut:
-                        lower_half.append(record)
-                    else:
-                        upper_half.append(record)
-                if lower_half:
-                    moved[old_coords] = lower_half
-                if upper_half:
-                    upper_coords = list(old_coords)
-                    upper_coords[axis] += 1
-                    moved[tuple(upper_coords)] = upper_half
-        self._records.update(moved)
+        global_registry().inc("gridfile.splits")
+        # Re-bucket the split slab and shift every later slab up one
+        # (``stored`` is a view: this writes the coordinates in place).
+        column = stored[:, axis]
+        stored[:, axis] += (column > cell) | (
+            (column == cell) & (values[:, axis] >= cut)
+        )
+        dims = self.grid.dims
+        self._occupancy = np.bincount(
+            np.ravel_multi_index(tuple(stored.T), dims),
+            minlength=int(np.prod(dims)),
+        ).reshape(dims)
         self._allocation = self._reallocate(previous=previous)
         return True
 
@@ -320,15 +374,9 @@ class DynamicGridFile:
                 )
             )
             # Record-level migration: exact old-vs-new disk per record.
-            if self._records:
-                coords = np.repeat(
-                    np.array(list(self._records), dtype=np.int64),
-                    [len(bucket) for bucket in self._records.values()],
-                    axis=0,
-                )
-                values = np.vstack(
-                    [r for bucket in self._records.values() for r in bucket]
-                )
+            if self._num_records:
+                coords = self._coords[: self._num_records]
+                values = self._values[: self._num_records]
                 old_disks = old_table[
                     tuple(
                         self._cells_under(old_bounds, values[:, axis])

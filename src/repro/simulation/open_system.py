@@ -27,9 +27,9 @@ from typing import List, Sequence
 import numpy as np
 
 from repro.core.allocation import DiskAllocation
-from repro.core.cost import buckets_per_disk
 from repro.core.exceptions import SimulationError
 from repro.core.query import RangeQuery
+from repro.obs.trace import trace
 from repro.simulation.disk import DiskModel
 
 __all__ = [
@@ -114,31 +114,63 @@ class OpenSystemSimulator:
                 f"{arrivals.shape[0] if arrivals.ndim == 1 else '?'} "
                 "arrival times"
             )
+        if not np.all(np.isfinite(arrivals)):
+            raise SimulationError("arrival times must be finite")
         if np.any(np.diff(arrivals) < 0):
             raise SimulationError(
                 "arrival times must be non-decreasing"
             )
-        num_disks = self._allocation.num_disks
-        free_at = np.zeros(num_disks, dtype=np.float64)
-        busy = np.zeros(num_disks, dtype=np.float64)
-        report = OpenSystemReport(disk_busy_ms=[0.0] * num_disks)
-        for query, arrival in zip(queries, arrivals):
-            counts = buckets_per_disk(self._allocation, query)
-            finish = float(arrival)
-            for disk_id, count in enumerate(counts):
-                if count == 0:
-                    continue
-                service = self._disk.service_time_ms(
-                    int(count), sequential=self._sequential
-                )
-                start = max(free_at[disk_id], arrival)
-                free_at[disk_id] = start + service
-                busy[disk_id] += service
-                finish = max(finish, free_at[disk_id])
-            report.latencies_ms.append(finish - float(arrival))
-        report.makespan_ms = float(free_at.max())
-        report.disk_busy_ms = busy.tolist()
-        return report
+        return self._simulate(self._disk_counts(queries), arrivals)
+
+    def _disk_counts(self, queries: List[RangeQuery]) -> np.ndarray:
+        """Every query's per-disk bucket counts, shape ``(N, M)``."""
+        from repro.core.engine import ResponseTimeEngine
+
+        return ResponseTimeEngine(self._allocation).batch_disk_counts(
+            queries
+        )
+
+    def _simulate(
+        self, counts: np.ndarray, arrivals: np.ndarray
+    ) -> OpenSystemReport:
+        """FIFO queues over precomputed per-disk counts.
+
+        Each disk's queue only sees the queries that touch it, so the
+        recursion runs disk by disk over those queries, in arrival order.
+        A query finishes when its last segment does; a max is exact in
+        any order, so this equals the query-by-query replay bit for bit.
+        """
+        disk = self._disk
+        transfer = disk.transfer_ms_per_bucket
+        if self._sequential:
+            service = np.where(
+                counts > 0, disk.random_access_ms + counts * transfer, 0.0
+            )
+        else:
+            service = counts * (disk.random_access_ms + transfer)
+        finish = arrivals.copy()
+        free_at = [0.0] * counts.shape[1]
+        busy = [0.0] * counts.shape[1]
+        for disk_id in range(counts.shape[1]):
+            touched = np.flatnonzero(counts[:, disk_id])
+            free = busy_ms = 0.0
+            done = []
+            for arrival, cost in zip(
+                arrivals[touched].tolist(),
+                service[touched, disk_id].tolist(),
+            ):
+                # max(free, arrival), without the call.
+                free = (arrival if arrival > free else free) + cost
+                busy_ms += cost
+                done.append(free)
+            finish[touched] = np.maximum(finish[touched], done)
+            free_at[disk_id] = free
+            busy[disk_id] = busy_ms
+        return OpenSystemReport(
+            latencies_ms=(finish - arrivals).tolist(),
+            makespan_ms=max(free_at),
+            disk_busy_ms=busy,
+        )
 
 
 def saturation_sweep(
@@ -151,14 +183,22 @@ def saturation_sweep(
     """Run the same query list at several Poisson arrival rates.
 
     One report per rate; the arrival process is re-drawn per rate with
-    the same seed so the only varying factor is the load level.
+    the same seed so the only varying factor is the load level.  The
+    per-disk counts do not depend on the rate, so they are gathered once
+    for the whole sweep.
     """
     queries = list(queries)
     if not queries:
         raise SimulationError("query stream is empty")
-    reports = []
-    simulator = OpenSystemSimulator(allocation, disk)
-    for rate in rates_per_second:
-        arrivals = poisson_arrivals(len(queries), rate, seed=seed)
-        reports.append(simulator.run(queries, arrivals))
-    return reports
+    rates = list(rates_per_second)
+    with trace(
+        "simulation.saturation_sweep", queries=len(queries), rates=len(rates)
+    ):
+        simulator = OpenSystemSimulator(allocation, disk)
+        counts = simulator._disk_counts(queries)
+        return [
+            simulator._simulate(
+                counts, poisson_arrivals(len(queries), rate, seed=seed)
+            )
+            for rate in rates
+        ]

@@ -2,10 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.core.allocation import DiskAllocation
 from repro.core.grid import Grid
 from repro.core.registry import registry_snapshot, restore_registry
+
+# ``pytest --hypothesis-profile=ci``: a longer, reproducible search for
+# the oracle tests CI runs on their own.  The default profile is
+# hypothesis' own and stays as it is, so tier-1 time does not grow.
+settings.register_profile("ci", max_examples=1000, derandomize=True)
 
 
 @pytest.fixture(autouse=True)

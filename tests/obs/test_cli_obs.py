@@ -72,6 +72,48 @@ class TestExperimentInstrumentation:
             span["attrs"]["solves"] for span in batches
         )
 
+    def test_load_sweep_records_one_span_per_scheme(self, tmp_path):
+        from repro.experiments.exp_load_sweep import DEFAULT_SCHEMES
+
+        trace_path = tmp_path / "trace.jsonl"
+        assert main(
+            ["experiment", "X5", "--quick", "--trace", str(trace_path)]
+        ) == 0
+        sweeps = [
+            span for span in load_trace(trace_path)
+            if span["name"] == "simulation.saturation_sweep"
+        ]
+        assert [span["attrs"] for span in sweeps] == [
+            {"queries": 100, "rates": 2}
+        ] * len(DEFAULT_SCHEMES)
+
+    def test_growth_records_insert_spans_and_split_counter(self, tmp_path):
+        from repro.experiments import exp_growth
+
+        trace_path = tmp_path / "trace.jsonl"
+        metrics_path = tmp_path / "metrics.json"
+        assert main(
+            ["experiment", "X6", "--trace", str(trace_path),
+             "--metrics-out", str(metrics_path)]
+        ) == 0
+        inserts = [
+            span for span in load_trace(trace_path)
+            if span["name"] == "gridfile.insert_many"
+        ]
+        counters = json.loads(metrics_path.read_text())["aggregate"][
+            "counters"
+        ]
+        # The CLI's X6 is exp_growth.run()'s default 1500-record stream;
+        # its "splits" row is each file's stats()["num_splits"].
+        rows = exp_growth.run()
+        assert [span["attrs"] for span in inserts] == [
+            {"records": 1500, "splits": int(row["splits"])}
+            for row in rows.values()
+        ]
+        assert counters["gridfile.splits"] == sum(
+            span["attrs"]["splits"] for span in inserts
+        )
+
     def test_metrics_out_writes_registry_document(self, tmp_path):
         metrics_path = tmp_path / "metrics.json"
         assert main(
