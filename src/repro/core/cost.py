@@ -24,6 +24,7 @@ import numpy as np
 from repro.core.allocation import DiskAllocation
 from repro.core.exceptions import QueryError
 from repro.core.query import RangeQuery
+from repro.obs.trace import trace
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.engine import ResponseTimeEngine
@@ -197,9 +198,10 @@ def sliding_response_times(
         return np.zeros(out_shape, dtype=np.int64)
     from repro.core.backends import active_backend
 
-    return active_backend().sliding_response_times(
-        allocation.table, allocation.num_disks, shape
-    )
+    with trace("cost.sliding_response_times"):
+        return active_backend().sliding_response_times(
+            allocation.table, allocation.num_disks, shape
+        )
 
 
 def _sliding_window_sums(indicator: np.ndarray, shape: Sequence[int]) -> np.ndarray:

@@ -54,6 +54,20 @@ from repro.obs.trace import trace
 __all__ = ["DynamicGridFile"]
 
 
+def _median(values: np.ndarray) -> float:
+    """``np.median`` of a non-empty 1-D float array, as the same float.
+
+    The middle value, or the mean of the two middle values for an even
+    count, found with ``np.partition``.  ``np.median`` itself imports
+    ``numpy.ma`` (20-25 ms) for its NaN check; record values are finite.
+    """
+    half = values.size // 2
+    if values.size % 2:
+        return float(np.partition(values, half)[half])
+    part = np.partition(values, (half - 1, half))
+    return float((part[half - 1] + part[half]) / 2.0)
+
+
 class DynamicGridFile:
     """An insert-driven, declustered grid file.
 
@@ -309,7 +323,7 @@ class DynamicGridFile:
         values = self._values[: self._num_records]
         stored = self._coords[: self._num_records]
         in_bucket = (stored == coords).all(axis=1)
-        cut = float(np.median(values[in_bucket, axis]))
+        cut = _median(values[in_bucket, axis])
         if not low < cut < high:
             cut = (low + high) / 2.0
         if not low < cut < high:

@@ -269,6 +269,21 @@ def _class_flow(
     )
 
 
+def _sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values of ``values`` (flattened), ascending.
+
+    What ``np.unique`` returns for finite numbers, by a sort and a
+    neighbour mask.  ``np.unique`` itself imports ``numpy.ma`` (20-25 ms)
+    for its masked-array check the first time it runs, a cost every
+    report process would pay for a handful of small arrays.
+    """
+    ordered = np.sort(values, axis=None)
+    keep = np.empty(ordered.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+    return ordered[keep]
+
+
 def _class_solve(
     low: np.ndarray,
     high: np.ndarray,
@@ -292,10 +307,10 @@ def _class_solve(
     # Reading every bucket's first surviving copy is feasible at its own
     # completion time, which caps the candidates.
     upper = float((first_loads * factors).max())
-    used = np.unique(np.concatenate([low, high]))
-    candidates = np.unique(
+    used = _sorted_distinct(np.concatenate([low, high]))
+    candidates = _sorted_distinct(
         np.multiply.outer(
-            np.arange(1, num_buckets + 1), np.unique(factors[used])
+            np.arange(1, num_buckets + 1), _sorted_distinct(factors[used])
         )
     )
     candidates = candidates[candidates <= upper + _EPS]

@@ -40,6 +40,7 @@ import numpy as np
 from repro.core.allocation import DiskAllocation
 from repro.core.exceptions import SchemeError, SchemeNotApplicableError
 from repro.core.grid import Grid
+from repro.obs.trace import trace
 from repro.schemes.base import DeclusteringScheme
 
 __all__ = [
@@ -112,17 +113,18 @@ def exhaustive_skip(
         ]
     best_skip = None
     best_cost = None
-    for skip in coprime_skips(num_disks):
-        table = _cyclic_table(grid, num_disks, skip)
-        allocation = DiskAllocation(grid, num_disks, table)
-        cost = 0.0
-        for shape in shapes:
-            cost += float(
-                sliding_response_times(allocation, shape).mean()
-            )
-        if best_cost is None or cost < best_cost - 1e-12:
-            best_cost = cost
-            best_skip = skip
+    with trace("schemes.cyclic.exhaustive_skip"):
+        for skip in coprime_skips(num_disks):
+            table = _cyclic_table(grid, num_disks, skip)
+            allocation = DiskAllocation(grid, num_disks, table)
+            cost = 0.0
+            for shape in shapes:
+                cost += float(
+                    sliding_response_times(allocation, shape).mean()
+                )
+            if best_cost is None or cost < best_cost - 1e-12:
+                best_cost = cost
+                best_skip = skip
     return best_skip
 
 

@@ -10,6 +10,7 @@ import logging
 import pytest
 
 from repro.cli import main
+from repro.core.cache import global_cache
 from repro.obs.log import ROOT_LOGGER_NAME
 from repro.obs.metrics import reset_global_registry
 from repro.obs.summary import load_trace
@@ -45,6 +46,36 @@ class TestExperimentInstrumentation:
         assert "runner.experiment" in names
         assert "engine.sliding_response_times" in names
         assert f"trace: {len(spans)} span(s)" in capsys.readouterr().err
+
+    def test_cyclic_skip_search_records_its_spans(self, tmp_path):
+        # X3's exhaustive skip search scores every coprime skip with the
+        # scalar sweep; both levels show up under the experiment span.
+        # An allocation cached by an earlier test would skip the search.
+        global_cache().clear()
+        trace_path = tmp_path / "trace.jsonl"
+        assert main(
+            ["experiment", "X3", "--quick", "--trace", str(trace_path)]
+        ) == 0
+        spans = load_trace(trace_path)
+        (experiment,) = [
+            span for span in spans
+            if span["name"] == "runner.experiment"
+            and span["attrs"]["key"] == "X3"
+        ]
+        searches = [
+            span for span in spans
+            if span["name"] == "schemes.cyclic.exhaustive_skip"
+        ]
+        assert searches
+        assert {span["parent_id"] for span in searches} == {
+            experiment["span_id"]
+        }
+        search_ids = {span["span_id"] for span in searches}
+        sweeps = [
+            span for span in spans
+            if span["name"] == "cost.sliding_response_times"
+        ]
+        assert {span["parent_id"] for span in sweeps} == search_ids
 
     def test_replica_planner_records_batch_span_and_counters(
         self, tmp_path

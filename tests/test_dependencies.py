@@ -149,3 +149,38 @@ def test_experiments_run_with_only_declared_modules(experiment):
     assert done.returncode == 0, done.stderr
     assert "blocked" not in done.stderr
     assert done.stdout.strip()
+
+
+#: Each snippet runs one report stage in a fresh interpreter and prints
+#: whether ``numpy.ma`` got imported along the way.
+_REPORT_STAGES = {
+    "all --quick": (
+        "import contextlib, io\n"
+        "from repro.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['experiment', 'all', '--quick']) == 0\n"
+    ),
+    "growth": (
+        "from repro.experiments import exp_growth\n"
+        "exp_growth.run()\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("stage", sorted(_REPORT_STAGES))
+def test_report_stages_never_import_masked_arrays(stage):
+    # ``np.unique`` and ``np.median`` pull in numpy.ma (20-25 ms per
+    # process) on first use; the report paths avoid both.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    code = _REPORT_STAGES[stage] + (
+        "import sys\nprint('numpy.ma' in sys.modules)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip().splitlines()[-1] == "False"
